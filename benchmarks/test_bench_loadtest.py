@@ -1,33 +1,23 @@
-"""Benchmark: keep-alive continuous batching vs the PR 5 service transport.
+"""Benchmark: the keep-alive continuous-batching service under load.
 
-``repro loadtest`` drives both configurations end to end — real ``repro
-serve`` subprocesses, 32 concurrent closed-loop clients — and this file
-asserts the acceptance bar: **the keep-alive continuous-batching path must
-sustain at least 2x the throughput of the previous one-connection-per-request
-fixed-window configuration**, with every solve response identical to a
-direct :func:`repro.core.batch.solve_many` of the same instances.
+``repro loadtest`` drives a real ``repro serve`` subprocess end to end with
+32 concurrent closed-loop keep-alive clients.  The timed metric is a fixed
+burst of keep-alive requests (gated against the recorded baseline by
+``check_regression.py``); absolute throughput and latency are recorded next
+to it, and the per-layer server counters from ``/healthz`` must show the
+serving layers doing their job:
 
-The two measured stacks:
-
-* *keep-alive + continuous batching* — ``repro serve`` defaults; clients
-  hold one persistent connection each (``keep_alive=True``) and the
-  dispatcher flushes the moment the executor frees.
-* *PR 5 baseline* — ``repro serve --fixed-window`` (every flush waits out
-  the ``max_wait_ms`` window) with ``keep_alive=False`` clients (a fresh
-  ``http.client`` connection per request — the transport the client shipped
-  with, preserved verbatim for exactly this A/B).
+* *transport* — about one connection per client (keep-alive reuse);
+* *dispatcher* — flushes really coalesce under load (mean group size > 1)
+  and some flushes dispatch straight off a busy executor with no window;
+* *results* — every solve response is identical to a direct
+  :func:`repro.core.batch.solve_many` of the same instances.
 
 The workload is deliberately *transport-dominated* (short pipelines over a
-small shared network): the solver cost is identical on both sides of the
-A/B, so the heavier the instances, the more the connection-handling
-difference under test is diluted.  Solver-bound service throughput is
-covered by ``test_bench_service.py``.
-
-Servers run as subprocesses so the 32 client threads and the server event
-loop do not share one GIL.  Each mode takes the best of two trials; like the
-other speedup benches, the wall-clock ratio assertion is skipped under
-``REPRO_SKIP_SPEEDUP_ASSERT=1`` (noisy shared runners) while the identity
-and connection-accounting assertions always run.
+small shared network).  Solver-bound service throughput is covered by
+``test_bench_service.py``.  The server runs as a subprocess so the 32 client
+threads and the server event loop do not share one GIL; the load run takes
+the best of two trials.
 """
 
 from __future__ import annotations
@@ -52,7 +42,7 @@ _WORKLOAD = dict(n_modules=4, n_nodes=8, n_links=16, seed=5)
 _WORKLOAD_SIZE = 16
 
 
-def _spawn_server(extra_args=()):
+def _spawn_server():
     """A real ``repro serve`` subprocess; returns ``(process, port)``."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(
@@ -60,9 +50,8 @@ def _spawn_server(extra_args=()):
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [sys.executable, "-c",
-         "import sys; from repro.cli import main; "
-         "raise SystemExit(main(['serve', '--port', '0'] + sys.argv[1:]))",
-         *extra_args],
+         "from repro.cli import main; "
+         "raise SystemExit(main(['serve', '--port', '0']))"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True)
     announce = proc.stdout.readline()
     match = re.search(r"listening on 127\.0\.0\.1:(\d+)", announce)
@@ -77,15 +66,13 @@ def _stop_server(proc):
     proc.wait(timeout=30)
 
 
-def _best_run(port, instances, *, keep_alive):
+def _best_run(port, instances):
     best = None
     for _ in range(_TRIALS):
         result = run_loadtest(host="127.0.0.1", port=port, clients=_CLIENTS,
-                              duration_s=_DURATION_S, instances=instances,
-                              keep_alive=keep_alive)
+                              duration_s=_DURATION_S, instances=instances)
         assert result.errors_total == 0, (
-            f"loadtest errors (keep_alive={keep_alive}): "
-            f"{result.errors_total}/{result.requests_total}")
+            f"loadtest errors: {result.errors_total}/{result.requests_total}")
         if best is None or result.throughput_rps > best.throughput_rps:
             best = result
     return best
@@ -93,30 +80,27 @@ def _best_run(port, instances, *, keep_alive):
 
 @pytest.fixture(scope="module")
 def loadtest_measurement():
-    """Both stacks measured (best of {_TRIALS} trials each) plus one short
+    """The load run (best of {_TRIALS} trials) plus one short
     response-recording run for the identity assertions."""
     instances = generate_workload(_WORKLOAD_SIZE, **_WORKLOAD)
 
-    new_proc, new_port = _spawn_server()
-    old_proc, old_port = _spawn_server(["--fixed-window"])
+    proc, port = _spawn_server()
     try:
-        new = _best_run(new_port, instances, keep_alive=True)
-        old = _best_run(old_port, instances, keep_alive=False)
-        identity = run_loadtest(host="127.0.0.1", port=new_port, clients=8,
+        measured = _best_run(port, instances)
+        identity = run_loadtest(host="127.0.0.1", port=port, clients=8,
                                 duration_s=0.5, instances=instances,
                                 keep_responses=True)
     finally:
-        _stop_server(new_proc)
-        _stop_server(old_proc)
-    return instances, new, old, identity
+        _stop_server(proc)
+    return instances, measured, identity
 
 
 @pytest.mark.benchmark(group="loadtest")
 def test_loadtest_keep_alive_continuous_batching(benchmark,
                                                  loadtest_measurement):
     """Timed metric: a fixed burst of keep-alive requests through the
-    continuous-batching server, plus the PR's >= 2x throughput bar."""
-    instances, new, old, _identity = loadtest_measurement
+    continuous-batching server, plus the per-layer server counters."""
+    instances, measured, _identity = loadtest_measurement
 
     proc, port = _spawn_server()
     try:
@@ -134,41 +118,30 @@ def test_loadtest_keep_alive_continuous_batching(benchmark,
         _stop_server(proc)
     assert all(r["ok"] for r in responses)
 
-    ratio = (new.throughput_rps / old.throughput_rps
-             if old.throughput_rps else float("inf"))
-    benchmark.extra_info["throughput_rps"] = round(new.throughput_rps, 1)
-    benchmark.extra_info["baseline_rps"] = round(old.throughput_rps, 1)
-    benchmark.extra_info["throughput_ratio"] = round(ratio, 2)
-    benchmark.extra_info["p99_ms"] = round(new.latency_p99_ms, 3)
+    server = measured.server
+    benchmark.extra_info["throughput_rps"] = round(measured.throughput_rps, 1)
+    benchmark.extra_info["p50_ms"] = round(measured.latency_p50_ms, 3)
+    benchmark.extra_info["p99_ms"] = round(measured.latency_p99_ms, 3)
     benchmark.extra_info["mean_flush_size"] = round(
-        new.server["mean_flush_size"], 2)
+        server["mean_flush_size"], 2)
+    benchmark.extra_info["queue_wait_ms_mean"] = round(
+        server["queue_wait_ms_mean"], 3)
     benchmark.extra_info["clients"] = _CLIENTS
 
-    # Connection accounting — the defining cost difference really happened:
-    # the keep-alive run opened about one connection per client, the
-    # baseline about one per request.
-    assert new.server["connections"] <= _CLIENTS + 4
-    assert old.server["connections"] >= old.requests_total
-    # The continuous-batching path really batched under load ...
-    assert new.mean_group_size > 1.0
-    assert new.server["busy_flushes"] > 0
-    # ... and both sides completed real traffic.
-    assert new.requests_total > 0 and old.requests_total > 0
-
-    if os.environ.get("REPRO_SKIP_SPEEDUP_ASSERT") == "1":
-        pytest.skip("speedup ratio assertions disabled via "
-                    "REPRO_SKIP_SPEEDUP_ASSERT")
-    assert ratio >= 2.0, (
-        f"keep-alive continuous batching only {ratio:.2f}x the baseline "
-        f"({new.throughput_rps:.0f} vs {old.throughput_rps:.0f} req/s at "
-        f"{_CLIENTS} clients); expected >= 2x")
+    # Transport: keep-alive clients hold about one connection each.
+    assert server["connections"] <= _CLIENTS + 4
+    # Dispatcher: the continuous-batching path really batched under load.
+    assert measured.mean_group_size > 1.0
+    assert server["busy_flushes"] > 0
+    assert measured.requests_total > 0
+    assert 0.0 < measured.latency_p50_ms <= measured.latency_p99_ms
 
 
 def test_loadtest_responses_identical_to_solve_many(loadtest_measurement):
     """Every response recorded under concurrent load equals the direct
     ``solve_many`` answer for its instance (JSON floats round-trip
     repr-exactly, so == is exact)."""
-    instances, _new, _old, identity = loadtest_measurement
+    instances, _measured, identity = loadtest_measurement
     assert identity.responses, "identity run recorded no responses"
     direct = solve_many(instances, solver="elpc-tensor",
                         objective=Objective.MIN_DELAY)

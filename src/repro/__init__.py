@@ -39,7 +39,6 @@ Public API highlights
 
 from ._version import PAPER, __version__
 from .core import (
-    ArrayBackend,
     BatchItemResult,
     BatchRunResult,
     Objective,
@@ -125,8 +124,8 @@ __all__ = [
     "place_many", "ClusterState", "PlacementRequest", "PlacementItem",
     "PlacementResult", "validate_placements",
     "register_placer", "get_placer", "available_placers",
-    # array backends
-    "ArrayBackend", "get_backend", "available_backends",
+    # array backend
+    "get_backend", "available_backends",
     # exceptions
     "ReproError", "SpecificationError", "InfeasibleMappingError",
     "CapacityError", "AlgorithmError", "SimulationError", "MeasurementError",

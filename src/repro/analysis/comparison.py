@@ -158,28 +158,16 @@ def check_solver_agreement(instances: Iterable[ProblemInstance], *,
     worker count is recorded in the report so archived CI artifacts say which
     path produced the numbers.
 
-    ``backend`` names an array backend (:mod:`repro.core.backend`) for the
-    *tensor* batches of the check — the scalar and vectorized references
-    always compute in NumPy, which is exactly what makes this the
-    cross-device agreement gate: ``backend="cupy"`` compares GPU tensor
-    results against the CPU references case by case.  The resolved backend
-    name is recorded in the report (``None`` means the default was used);
-    an unusable backend raises
+    ``backend`` names the tensor engine's array backend (``"numpy"``, see
+    :mod:`repro.core.backend`); the resolved name is recorded in the report
+    (``None`` means the default was used) and any other name raises
     :class:`~repro.exceptions.BackendUnavailableError` up front.
     """
-    from ..core.backend import validate_backend_name
-    from ..core.batch import TENSOR_SOLVERS
+    from ..core.backend import get_backend
     from ..core.parallel import maybe_runner
 
     suite = list(instances)
-    # Light name validation only: constructing a GPU backend here would
-    # initialise CUDA before the (fork-only) worker pool starts.
-    if backend is None:
-        backend_name = None
-    elif isinstance(backend, str):
-        backend_name = validate_backend_name(backend)
-    else:
-        backend_name = backend.name
+    backend_name = None if backend is None else get_backend(backend).name
     report = AgreementReport(solvers=tuple(solvers), objectives=tuple(objectives),
                              n_cases=len(suite), workers=int(workers or 1),
                              backend=backend_name)
@@ -187,22 +175,19 @@ def check_solver_agreement(instances: Iterable[ProblemInstance], *,
     # transient pool per (solver, objective) batch.
     with maybe_runner(workers) as runner:
         _check_agreement_batches(suite, solvers, objectives, report, runner,
-                                 rel_tol, backend=backend,
-                                 tensor_solvers=TENSOR_SOLVERS)
+                                 rel_tol, backend=backend)
     return report
 
 
 def _check_agreement_batches(suite, solvers, objectives,
                              report: AgreementReport, runner,
-                             rel_tol: float, *, backend=None,
-                             tensor_solvers=frozenset()) -> None:
+                             rel_tol: float, *, backend=None) -> None:
     for objective in objectives:
         batches = {}
         for name in solvers:
             batch = solve_many(suite, solver=name, objective=objective,
                                workers=report.workers, runner=runner,
-                               backend=(backend if name.lower() in tensor_solvers
-                                        else None))
+                               backend=backend)
             batches[name] = batch
             report.solver_time_s[name] = (report.solver_time_s.get(name, 0.0)
                                           + batch.wall_time_s)

@@ -223,10 +223,8 @@ def tensor_batch_speedup(*, batch_sizes: Sequence[int] = (8, 32, 64),
     engines on a persistent :class:`~repro.core.parallel.ParallelBatchRunner`
     (the pool and the shared-memory network export are set up outside the
     timed region); the tensor path then runs one grouped solve per worker
-    chunk.  ``backend`` names an array backend (:mod:`repro.core.backend`)
-    for the *tensor* passes — the looped reference stays on NumPy, so the
-    reported speedup is device-vs-CPU-loop and the value cross-check doubles
-    as a device-parity check.
+    chunk.  ``backend`` names the tensor passes' array backend
+    (``"numpy"``, see :mod:`repro.core.backend`).
     """
     batch_sizes = sorted(int(b) for b in batch_sizes)
     network = random_network(k_nodes, n_links, seed=seed)

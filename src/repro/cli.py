@@ -23,11 +23,11 @@ Three entry points are installed with the package:
 * ``repro-bench`` — legacy alias of ``repro bench``.
 
 All of them are thin wrappers over the library API so everything they do is
-also available programmatically.  ``repro solve``, ``repro bench`` and
-``repro bench-batch`` take ``--backend`` (default ``$REPRO_BACKEND``) to run
-the tensor engine on an alternative array backend
-(:mod:`repro.core.backend`); an unavailable backend exits 1 with the
-installed ones listed.  ``repro bench`` exits with status 3 when
+also available programmatically.  ``repro solve``, ``repro bench``,
+``repro bench-batch`` and ``repro serve`` take ``--backend`` (default
+``$REPRO_BACKEND``) naming the tensor engine's array backend; ``numpy`` is
+the only one, and any other name exits 1.  ``repro bench`` exits with
+status 3 when
 the interchangeable ELPC engines (``elpc`` / ``elpc-vec`` / ``elpc-tensor``)
 disagree on any suite case — the same verdict the CI benchmark gate archives
 — so scripted pipelines cannot silently publish numbers from diverging
@@ -97,9 +97,7 @@ def _build_map_parser(prog: str = "repro-map") -> argparse.ArgumentParser:
                         help="worker processes for --batch-seeds (default: in-process)")
     parser.add_argument("--backend", default=None, metavar="NAME",
                         help="array backend for the elpc-tensor engine "
-                             "(numpy/cupy/jax; default: $REPRO_BACKEND or "
-                             "numpy; unavailable backends fail with the "
-                             "installed ones listed)")
+                             "(only numpy; default: $REPRO_BACKEND or numpy)")
     parser.add_argument("--list-algorithms", action="store_true",
                         help="list registered algorithms and exit")
     return parser
@@ -110,12 +108,10 @@ def _backend_solver_kwargs(algorithm: str, objective: Objective,
     """Solver kwargs carrying a validated ``--backend`` choice.
 
     Delegates to :func:`repro.core.batch.resolve_solver_backend` so single
-    CLI solves and ``solve_many`` batches enforce one policy: unknown or
-    uninstalled backends fail up front with the actionable
-    :class:`~repro.exceptions.BackendUnavailableError` (listing the
-    installed backends), only the builtin tensor engine receives a
-    ``backend=`` kwarg, ``numpy`` is a no-op for every other solver, and
-    anything else is rejected rather than silently ignored.
+    CLI solves and ``solve_many`` batches enforce one policy: any name but
+    ``numpy`` fails up front with
+    :class:`~repro.exceptions.BackendUnavailableError`, and only the builtin
+    tensor engine receives a ``backend=`` kwarg.
     """
     from .core.batch import resolve_solver_backend
 
@@ -235,9 +231,8 @@ def _build_bench_parser() -> argparse.ArgumentParser:
                              "stay identical to the in-process run)")
     parser.add_argument("--backend", default=None, metavar="NAME",
                         help="array backend for the elpc-tensor side of the "
-                             "cross-check (numpy/cupy/jax; the scalar and "
-                             "vectorized references always run NumPy, so "
-                             "this doubles as a device-parity gate)")
+                             "cross-check (only numpy; recorded in the "
+                             "agreement report)")
     return parser
 
 
@@ -378,8 +373,7 @@ def _build_bench_batch_parser(prog: str = "repro bench-batch"
                              "shared-memory pool (default: in-process)")
     parser.add_argument("--backend", default=None, metavar="NAME",
                         help="array backend for the tensor passes "
-                             "(numpy/cupy/jax; the looped reference stays on "
-                             "NumPy, so the table reads device vs CPU loop)")
+                             "(only numpy)")
     return parser
 
 
@@ -433,22 +427,15 @@ def _build_serve_parser(prog: str = "repro serve") -> argparse.ArgumentParser:
                              "shared-memory pool (default: in-process)")
     parser.add_argument("--backend", default=None, metavar="NAME",
                         help="default array backend for tensor solves "
-                             "(numpy/cupy/jax; validated at startup — an "
-                             "unavailable backend exits 1 listing the "
-                             "installed ones)")
+                             "(only numpy; validated at startup — any other "
+                             "name exits 1)")
     parser.add_argument("--max-batch", type=int, default=32,
                         help="flush as soon as this many requests are queued")
     parser.add_argument("--max-wait-ms", type=float, default=2.0,
                         help="idle-engine bound: flush at latest this long "
                              "after the oldest queued request arrived (0 "
-                             "disables coalescing); under continuous "
-                             "batching a busy solve executor replaces the "
-                             "window")
-    parser.add_argument("--fixed-window", action="store_true",
-                        help="disable continuous batching: every flush waits "
-                             "out the --max-wait-ms window even when the "
-                             "executor is free (the loadtest baseline "
-                             "policy, not for deployment)")
+                             "disables coalescing); a busy solve executor "
+                             "replaces the window")
     parser.add_argument("--max-body-bytes", type=int,
                         default=8 * 1024 * 1024,
                         help="refuse request bodies larger than this with "
@@ -503,7 +490,6 @@ def main_serve(argv: Optional[Sequence[str]] = None, *,
         get_solver(args.solver, Objective.MIN_DELAY)
         config = ServiceConfig(max_batch=args.max_batch,
                                max_wait_ms=args.max_wait_ms,
-                               continuous_batching=not args.fixed_window,
                                workers=args.workers, backend=args.backend,
                                default_solver=args.solver,
                                max_body_bytes=args.max_body_bytes,
@@ -636,10 +622,6 @@ def _build_loadtest_parser(prog: str = "repro loadtest"
                         help="open-loop mode: size of the keep-alive "
                              "connection pool multiplexing the schedule "
                              "(default: 32)")
-    parser.add_argument("--no-keep-alive", action="store_true",
-                        help="one TCP connection per request instead of "
-                             "persistent keep-alive connections (the PR 5 "
-                             "baseline transport, for A/B runs)")
     parser.add_argument("--no-network-refs", action="store_true",
                         help="post the full network payload on every "
                              "request instead of switching to network_ref")
@@ -691,7 +673,6 @@ def main_loadtest(argv: Optional[Sequence[str]] = None, *,
             host=args.host, port=args.port, clients=args.clients,
             duration_s=args.duration, instances=instances,
             solver=args.solver, objective=objective,
-            keep_alive=not args.no_keep_alive,
             use_network_refs=not args.no_network_refs,
             warmup=not args.no_warmup,
             arrival_rate=args.arrival_rate, trace=trace,

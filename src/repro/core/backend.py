@@ -1,43 +1,29 @@
-"""Pluggable array-API backends for the tensor batch engine.
+"""NumPy array layer of the tensor batch engine.
 
 The stacked-CSR formulation of the batched ELPC dynamic programs
-(:mod:`repro.core.tensor`) is pure element-wise arithmetic plus segment
-reductions, which maps directly onto any NumPy-compatible array namespace.
-This module is the seam that makes the engine portable across them:
+(:mod:`repro.core.tensor`) reduces candidate costs per destination node
+over a padded-slot layout of each dense view.  This module owns that
+layout and the reduction:
 
-* :class:`ArrayBackend` — the contract a backend implements: the array
-  namespace (:attr:`~ArrayBackend.xp`), host/device movement
-  (:meth:`~ArrayBackend.asarray` / :meth:`~ArrayBackend.to_numpy`), a
-  functional scatter write (:meth:`~ArrayBackend.scatter_set`, covering JAX's
-  immutable arrays), the padded-slot segment minimum
-  (:meth:`~ArrayBackend.segment_min` — the backend-portable replacement for
-  ``np.minimum.reduceat``, which only NumPy has), per-view device staging
-  (:meth:`~ArrayBackend.stage_view`), and capability flags
-  (:attr:`~ArrayBackend.supports_inplace`, :attr:`~ArrayBackend.is_gpu`).
-* :class:`NumpyBackend` — the reference implementation (always installed;
-  the only backend whose :attr:`~ArrayBackend.supports_inplace` flag lets the
-  min-delay engine take its scratch-buffer fast path).
-* :class:`CupyBackend` / :class:`JaxBackend` — optional GPU/accelerator
-  backends.  Both import lazily and degrade gracefully: requesting one that
-  is not installed (or, for CuPy, has no visible CUDA device) raises an
-  actionable :class:`~repro.exceptions.BackendUnavailableError` listing the
-  backends that *are* usable.  JAX is put into ``x64`` mode on first use so
-  its results can match the float64 references bit for bit.
+* :class:`StagedView` — the per-view arrays the DP stages read every
+  iteration, plus the precomputed padded-slot layout;
+* :func:`stage_view` — builds one :class:`StagedView` per
+  :class:`DenseNetworkView` and caches it for the view's lifetime;
+* :func:`segment_min` — the padded-slot per-node minimum.
 
-Backends are selected by name — :func:`get_backend` resolves ``None`` through
-the ``REPRO_BACKEND`` environment variable (default ``"numpy"``), which is
-also what the ``--backend`` CLI flag feeds.  Third-party namespaces can be
-added with :func:`register_backend`.  The layer map and the
-when-to-use-which guide live in ``docs/ARCHITECTURE.md``.
+The engine computes in NumPy only.  ``backend=`` arguments, the
+``--backend`` CLI flag and the ``REPRO_BACKEND`` environment variable still
+exist so callers can name it; :func:`get_backend` accepts ``"numpy"`` (or
+a :class:`NumpyBackend`) and raises
+:class:`~repro.exceptions.BackendUnavailableError` for any other name.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Union
 
 import numpy as np
 
@@ -45,47 +31,35 @@ from ..exceptions import BackendUnavailableError, SpecificationError
 from ..model.network import DenseNetworkView
 
 __all__ = [
-    "ArrayBackend",
     "NumpyBackend",
-    "CupyBackend",
-    "JaxBackend",
     "StagedView",
+    "stage_view",
+    "segment_min",
     "get_backend",
     "available_backends",
-    "register_backend",
-    "validate_backend_name",
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
 ]
 
-#: Environment variable that supplies the default backend name when a solve
-#: is started without an explicit ``backend=`` (also the default source of the
-#: CLI ``--backend`` flag).
+#: Environment variable that supplies the backend name when a tensor solve
+#: is started without an explicit ``backend=`` (also the default of the CLI
+#: ``--backend`` flag).
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-#: Backend used when neither ``backend=`` nor :data:`BACKEND_ENV_VAR` says
-#: otherwise.
+#: The one backend the tensor engine runs on.
 DEFAULT_BACKEND = "numpy"
-
-_INF = float("inf")
 
 
 @dataclass(frozen=True)
 class StagedView:
-    """Device-resident arrays of one :class:`DenseNetworkView` for one backend.
+    """The DP-stage arrays of one :class:`DenseNetworkView`.
 
-    Produced (and cached per view) by :meth:`ArrayBackend.stage_view`: the
-    CSR edge arrays and transport vectors the DP stages read every iteration,
-    moved to the backend's device once, plus the precomputed padded-slot
-    layout :meth:`ArrayBackend.segment_min` reduces over.  For the NumPy
-    backend "staging" is free — :meth:`~ArrayBackend.asarray` returns the
-    view's own arrays — so the staged layout doubles as a per-view cache of
-    the slot arithmetic the engine previously recomputed per call.
+    Produced (and cached per view) by :func:`stage_view`: the view's own
+    CSR edge arrays and transport vectors, plus the padded-slot layout
+    :func:`segment_min` reduces over.
 
     Attributes
     ----------
-    backend_name:
-        Name of the backend the arrays live on.
     k, n_directed_edges, max_deg:
         Node count, directed-edge count ``2|E|``, and the maximum in-degree
         (the padded-slot width; 0 for an edgeless network).
@@ -110,439 +84,135 @@ class StagedView:
         ``(k,)`` offsets of each node's first slot in the flattened layout.
     """
 
-    backend_name: str
     k: int
     n_directed_edges: int
     max_deg: int
-    power_ms: Any
-    edge_u: Any
-    edge_v: Any
-    edge_bandwidth_bits_per_s: Any
-    edge_link_delay: Any
-    rows: Any
-    flat_slot: Any
-    slot_to_u_flat: Any
-    row_base: Any
+    power_ms: np.ndarray
+    edge_u: np.ndarray
+    edge_v: np.ndarray
+    edge_bandwidth_bits_per_s: np.ndarray
+    edge_link_delay: np.ndarray
+    rows: np.ndarray
+    flat_slot: np.ndarray
+    slot_to_u_flat: np.ndarray
+    row_base: np.ndarray
 
 
-class ArrayBackend:
-    """Contract between the tensor engine and one array namespace.
+_STAGED: Dict[int, StagedView] = {}
 
-    Concrete backends supply :attr:`xp` (a NumPy-compatible module) and, where
-    the namespaces genuinely diverge, override the small set of methods below;
-    everything numerical in :mod:`repro.core.tensor` is expressed through this
-    interface, so a new accelerator only has to satisfy it — not the engine.
 
-    Capability flags
-    ----------------
-    ``supports_inplace``
-        ``True`` only for the native NumPy backend: the min-delay engine may
-        then run its scratch-buffer in-place kernels (``out=`` /
-        ``np.copyto``), which the array-API cannot express.  Every other
-        backend (and :class:`NumpyBackend` with ``force_generic=True``, the
-        test hook) runs the functional generic path — same operations, same
-        order, bit-identical values.
-    ``is_gpu``
-        Results live on an accelerator and must cross back through
-        :meth:`to_numpy` (the engine does this once per batch, after the DP
-        sweep).
+def stage_view(view: DenseNetworkView) -> StagedView:
+    """The view's :class:`StagedView`, built on first use and cached.
+
+    Later calls return the same object until the view is garbage-collected
+    (networks cache their view until mutation, so one staging serves every
+    solve over an unchanged topology).
     """
-
-    name: str = "abstract"
-    is_gpu: bool = False
-    supports_inplace: bool = False
-
-    def __init__(self) -> None:
-        self._staged: Dict[int, StagedView] = {}
-
-    # ------------------------------------------------------------------ #
-    # Array namespace and host/device movement
-    # ------------------------------------------------------------------ #
-    @property
-    def xp(self):
-        """The backend's NumPy-compatible array namespace module."""
-        raise NotImplementedError
-
-    def asarray(self, array, dtype=None):
-        """Move/convert a host array onto this backend (no-op for NumPy)."""
-        if dtype is None:
-            return self.xp.asarray(array)
-        return self.xp.asarray(array, dtype=dtype)
-
-    def to_numpy(self, array) -> np.ndarray:
-        """Bring a backend array back to a host ``np.ndarray``."""
-        return np.asarray(array)
-
-    def scatter_set(self, array, index, values):
-        """Functional form of ``array[index] = values``; returns the array.
-
-        Mutates in place where the namespace allows it (NumPy, CuPy) and
-        falls back to the functional update JAX requires; call sites must
-        use the return value either way.
-        """
-        array[index] = values
-        return array
-
-    # ------------------------------------------------------------------ #
-    # Device staging
-    # ------------------------------------------------------------------ #
-    def stage_view(self, view: DenseNetworkView) -> StagedView:
-        """Stage a dense view's DP-stage arrays on this backend, cached per view.
-
-        The first call for a given :class:`DenseNetworkView` builds the
-        padded-slot layout and moves every per-stage operand to the device;
-        later calls return the same :class:`StagedView` until the view is
-        garbage-collected (networks cache their view until mutation, so one
-        staging serves every solve over an unchanged topology).
-        """
-        key = id(view)
-        staged = self._staged.get(key)
-        if staged is not None:
-            return staged
-        staged = self._build_staged(view)
-        self._staged[key] = staged
-        # Evict on view collection so a long-lived backend over many
-        # throwaway networks does not pin device memory forever.
-        weakref.finalize(view, self._staged.pop, key, None)
+    key = id(view)
+    staged = _STAGED.get(key)
+    if staged is not None:
         return staged
-
-    def _build_staged(self, view: DenseNetworkView) -> StagedView:
-        k = view.n_nodes
-        E2 = view.n_directed_edges
-        counts = np.diff(view.edge_indptr)
-        max_deg = int(counts.max()) if E2 else 0
-        slot_within = np.arange(E2) - np.repeat(view.edge_indptr[:-1], counts)
-        flat_slot = (view.edge_v * max_deg + slot_within).astype(np.intp)
-        slot_to_u = np.zeros(k * max(max_deg, 1), dtype=np.intp)
-        slot_to_u[flat_slot] = view.edge_u
-        row_base = (np.arange(k) * max_deg).astype(np.intp)
-        return StagedView(
-            backend_name=self.name, k=k, n_directed_edges=E2, max_deg=max_deg,
-            power_ms=self.asarray(view.power * 1e3),
-            edge_u=self.asarray(view.edge_u),
-            edge_v=self.asarray(view.edge_v),
-            edge_bandwidth_bits_per_s=self.asarray(
-                view.edge_bandwidth_bits_per_s),
-            edge_link_delay=self.asarray(view.edge_link_delay),
-            rows=self.asarray(np.arange(k)),
-            flat_slot=self.asarray(flat_slot),
-            slot_to_u_flat=self.asarray(slot_to_u),
-            row_base=self.asarray(row_base))
-
-    # ------------------------------------------------------------------ #
-    # Segment reduction
-    # ------------------------------------------------------------------ #
-    def segment_min(self, values, staged: StagedView):
-        """Per-destination-node minimum and lowest-``u`` argmin over edge values.
-
-        ``values`` is ``(A, 2|E|)`` of candidate costs in the view's CSR edge
-        order; returns ``(best, best_u)`` of shape ``(A, k)``.  ``best`` is
-        ``inf`` (and ``best_u`` is 0) for nodes with no incoming edge or no
-        finite candidate, exactly matching what ``np.argmin`` over an
-        all-``inf`` column yields in the vectorized engine.
-
-        The reduction runs over the staged padded-slot layout — candidates
-        scatter into an inf-padded ``(A, k, max_deg)`` tensor whose
-        contiguous min/argmin over the last axis replaces
-        ``np.minimum.reduceat`` — so it is expressible in every
-        NumPy-compatible namespace, and the ascending-``u`` slot order
-        preserves the lowest-predecessor tie-break for free.
-        """
-        xp = self.xp
-        A = values.shape[0]
-        if staged.max_deg == 0:  # edgeless network: no cross-link candidates
-            best = xp.full((A, staged.k), _INF)
-            best_u = xp.zeros((A, staged.k), dtype=xp.int64)
-            return best, best_u
-        pad = xp.full((A, staged.k * staged.max_deg), _INF)
-        pad = self.scatter_set(pad, (slice(None), staged.flat_slot), values)
-        pad3 = pad.reshape(A, staged.k, staged.max_deg)
-        arg = xp.argmin(pad3, axis=2)
-        best = xp.take_along_axis(pad3, arg[:, :, None], axis=2)[:, :, 0]
-        best_u = xp.take(staged.slot_to_u_flat, arg + staged.row_base[None, :])
-        best_u = xp.where(xp.isfinite(best), best_u, 0)
-        return best, best_u
+    k = view.n_nodes
+    E2 = view.n_directed_edges
+    counts = np.diff(view.edge_indptr)
+    max_deg = int(counts.max()) if E2 else 0
+    slot_within = np.arange(E2) - np.repeat(view.edge_indptr[:-1], counts)
+    flat_slot = (view.edge_v * max_deg + slot_within).astype(np.intp)
+    slot_to_u = np.zeros(k * max(max_deg, 1), dtype=np.intp)
+    slot_to_u[flat_slot] = view.edge_u
+    staged = StagedView(
+        k=k, n_directed_edges=E2, max_deg=max_deg,
+        power_ms=view.power * 1e3,
+        edge_u=view.edge_u,
+        edge_v=view.edge_v,
+        edge_bandwidth_bits_per_s=view.edge_bandwidth_bits_per_s,
+        edge_link_delay=view.edge_link_delay,
+        rows=np.arange(k),
+        flat_slot=flat_slot,
+        slot_to_u_flat=slot_to_u,
+        row_base=(np.arange(k) * max_deg).astype(np.intp))
+    _STAGED[key] = staged
+    # Evict on view collection so solves over many throwaway networks do
+    # not pin their layouts forever.
+    weakref.finalize(view, _STAGED.pop, key, None)
+    return staged
 
 
-class NumpyBackend(ArrayBackend):
-    """The reference backend: host NumPy, always installed.
+def segment_min(values: np.ndarray, staged: StagedView):
+    """Per-destination-node minimum and lowest-``u`` argmin over edge values.
 
-    ``force_generic=True`` reports ``supports_inplace=False`` so the engine
-    takes the same functional generic path the accelerator backends use while
-    still computing with NumPy — the differential-test hook that pins the
-    generic path's bit-identity without needing a GPU
-    (``tests/test_backend_equivalence.py``).
+    ``values`` is ``(A, 2|E|)`` of candidate costs in the view's CSR edge
+    order; returns ``(best, best_u)`` of shape ``(A, k)``.  ``best`` is
+    ``inf`` (and ``best_u`` is 0) for nodes with no incoming edge or no
+    finite candidate, exactly matching what ``np.argmin`` over an
+    all-``inf`` column yields in the vectorized engine.
+
+    Candidates scatter into an inf-padded ``(A, k, max_deg)`` tensor whose
+    contiguous min/argmin over the last axis is faster than
+    ``np.minimum.reduceat`` on the small per-node segments real topologies
+    have, and the ascending-``u`` slot order preserves the lowest-predecessor
+    tie-break for free.
+    """
+    A = values.shape[0]
+    if staged.max_deg == 0:  # edgeless network: no cross-link candidates
+        return (np.full((A, staged.k), np.inf),
+                np.zeros((A, staged.k), dtype=np.int64))
+    pad = np.full((A, staged.k * staged.max_deg), np.inf)
+    pad[:, staged.flat_slot] = values
+    pad3 = pad.reshape(A, staged.k, staged.max_deg)
+    arg = np.argmin(pad3, axis=2)
+    best = np.take_along_axis(pad3, arg[:, :, None], axis=2)[:, :, 0]
+    best_u = np.take(staged.slot_to_u_flat, arg + staged.row_base[None, :])
+    best_u = np.where(np.isfinite(best), best_u, 0)
+    return best, best_u
+
+
+class NumpyBackend:
+    """The backend selector :func:`get_backend` resolves every name to.
+
+    It carries only the ``name`` recorded in each mapping's
+    ``extras["backend"]``; the computation lives in :func:`stage_view` and
+    :func:`segment_min`.
     """
 
-    name = "numpy"
-
-    def __init__(self, *, force_generic: bool = False) -> None:
-        super().__init__()
-        self.supports_inplace = not force_generic
-
-    @property
-    def xp(self):
-        """The :mod:`numpy` module itself."""
-        return np
-
-    def asarray(self, array, dtype=None):
-        """No-op for arrays already on the host (NumPy *is* the host)."""
-        return np.asarray(array) if dtype is None else np.asarray(array, dtype)
+    name = DEFAULT_BACKEND
 
 
-class CupyBackend(ArrayBackend):
-    """CuPy (CUDA GPU) backend; construction fails fast without a usable GPU.
-
-    CuPy mirrors the NumPy API closely enough that only ``to_numpy`` needs a
-    real override (device→host copy).  ``float64`` is CuPy's default, so
-    values match the references bit for bit wherever the GPU's IEEE-754
-    arithmetic does.
-    """
-
-    name = "cupy"
-    is_gpu = True
-
-    def __init__(self) -> None:
-        super().__init__()
-        try:
-            import cupy  # noqa: F811 - optional dependency, imported lazily
-        except ImportError as exc:
-            raise _unavailable("cupy", "CuPy is not installed",
-                               "pip install cupy-cuda12x (matching your CUDA "
-                               "toolkit)") from exc
-        try:
-            if cupy.cuda.runtime.getDeviceCount() < 1:
-                raise _unavailable("cupy", "CuPy is installed but no CUDA "
-                                           "device is visible", None)
-        except BackendUnavailableError:
-            raise
-        except Exception as exc:  # CUDA runtime missing/misconfigured
-            raise _unavailable("cupy", f"CuPy cannot reach a CUDA runtime "
-                                       f"({exc})", None) from exc
-        self._cupy = cupy
-
-    @property
-    def xp(self):
-        """The :mod:`cupy` module."""
-        return self._cupy
-
-    def to_numpy(self, array) -> np.ndarray:
-        """Device→host copy via :func:`cupy.asnumpy`."""
-        return self._cupy.asnumpy(array)
-
-
-class JaxBackend(ArrayBackend):
-    """``jax.numpy`` backend (CPU/GPU/TPU, whatever JAX was installed for).
-
-    ``x64`` mode is enabled on construction so the DP runs in float64 and can
-    match the NumPy references bit for bit; JAX arrays are immutable, so
-    every in-place write goes through the functional
-    :meth:`~ArrayBackend.scatter_set` (``array.at[index].set(values)``).
-    """
-
-    name = "jax"
-    is_gpu = True
-
-    def __init__(self) -> None:
-        super().__init__()
-        try:
-            import jax
-            import jax.numpy as jnp
-        except ImportError as exc:
-            raise _unavailable("jax", "JAX is not installed",
-                               "pip install jax") from exc
-        jax.config.update("jax_enable_x64", True)
-        self._jnp = jnp
-
-    @property
-    def xp(self):
-        """The :mod:`jax.numpy` module (in ``x64`` mode)."""
-        return self._jnp
-
-    def to_numpy(self, array) -> np.ndarray:
-        """Device→host copy (``np.asarray`` blocks until the value is ready)."""
-        return np.asarray(array)
-
-    def scatter_set(self, array, index, values):
-        """Functional scatter — JAX arrays are immutable."""
-        return array.at[index].set(values)
-
-
-# ----------------------------------------------------------------------- #
-# Registry
-# ----------------------------------------------------------------------- #
-_FACTORIES: Dict[str, Callable[[], ArrayBackend]] = {
-    "numpy": NumpyBackend,
-    "cupy": CupyBackend,
-    "jax": JaxBackend,
-}
-#: Array library behind each builtin backend, for *light* availability checks
-#: (``importlib.util.find_spec`` — no import, no device probe, no global
-#: configuration such as JAX's x64 switch).  Heavy work happens only when a
-#: backend is actually selected and constructed.
-_PROBE_MODULES: Dict[str, str] = {"numpy": "numpy", "cupy": "cupy",
-                                  "jax": "jax"}
-_INSTANCES: Dict[str, ArrayBackend] = {}
-_UNAVAILABLE: set = set()
-_PROBING: set = set()  # guards probe recursion while an error message builds
+_NUMPY = NumpyBackend()
 
 #: Anything the engine accepts as a backend selector.
-BackendLike = Union[None, str, ArrayBackend]
-
-
-def _unavailable(name: str, reason: str,
-                 install_hint: Optional[str]) -> BackendUnavailableError:
-    """Build the actionable error for a known-but-unusable backend."""
-    installed = _installed_names(exclude=name)
-    hint = f"; {install_hint}" if install_hint else ""
-    return BackendUnavailableError(
-        f"backend {name!r} requested but {reason} "
-        f"(installed backends: {', '.join(installed) or 'none'}){hint}; "
-        f"pick one of the installed backends via --backend / "
-        f"{BACKEND_ENV_VAR} or backend=", backend=name, installed=installed)
-
-
-def _installed_names(exclude: Optional[str] = None) -> List[str]:
-    """Names of installed backends, probed *without* side effects where possible.
-
-    Builtin backends (and registrations that declared their ``module_name``)
-    are checked with ``importlib.util.find_spec`` only — merely listing
-    availability must not import CuPy (CUDA initialisation) or construct the
-    JAX backend (which flips the process-wide x64 switch).  Custom
-    registrations without a declared module can only be probed by
-    construction; that path is guarded against recursion and its verdict is
-    cached.
-    """
-    names = []
-    for name in sorted(_FACTORIES):
-        if name == exclude:
-            continue
-        if name in _INSTANCES:
-            names.append(name)
-            continue
-        if name in _UNAVAILABLE or name in _PROBING:
-            continue
-        module = _PROBE_MODULES.get(name)
-        if module is not None:
-            if importlib.util.find_spec(module) is not None:
-                names.append(name)
-            continue
-        # A failing factory formats its error via _installed_names(), so mark
-        # the probe in flight to keep two missing backends from probing each
-        # other forever.
-        _PROBING.add(name)
-        try:
-            _INSTANCES[name] = _FACTORIES[name]()
-        except BackendUnavailableError:
-            _UNAVAILABLE.add(name)
-        else:
-            names.append(name)
-        finally:
-            _PROBING.discard(name)
-    return names
+BackendLike = Union[None, str, NumpyBackend]
 
 
 def available_backends() -> List[str]:
-    """Names of backends whose array library is installed (``"numpy"`` always).
-
-    This is the *light* check (no imports, no device probes): a listed
-    backend can still fail at selection time — e.g. CuPy installed but no
-    CUDA device visible — in which case :func:`get_backend` raises the
-    actionable :class:`~repro.exceptions.BackendUnavailableError`.
-    """
-    return _installed_names()
+    """Names of the backends the tensor engine can run on: ``["numpy"]``."""
+    return [DEFAULT_BACKEND]
 
 
-def validate_backend_name(backend: str) -> str:
-    """Validate a backend *name* without constructing the backend.
-
-    Checks that the name is registered and that its declared array library is
-    importable (``find_spec`` only — no import, no device probe, no global
-    configuration).  This is what the parallel batch path uses: constructing
-    a GPU backend in a parent that is about to ``fork`` would initialise the
-    CUDA driver pre-fork, which CUDA forbids — each worker constructs its own
-    instance from the name instead.  Returns the canonical (lowercased)
-    name; raises :class:`~repro.exceptions.BackendUnavailableError` like
-    :func:`get_backend` for unknown or uninstalled names.
-    """
-    key = backend.lower()
-    if key not in _FACTORIES:
-        installed = _installed_names()
-        raise BackendUnavailableError(
-            f"unknown backend {backend!r}; registered backends: "
-            f"{sorted(_FACTORIES)} (installed here: "
-            f"{', '.join(installed) or 'none'})",
-            backend=key, installed=installed)
-    module = _PROBE_MODULES.get(key)
-    if module is not None and importlib.util.find_spec(module) is None:
-        raise _unavailable(key, f"its array library ({module}) is not "
-                                "installed", None)
-    return key
-
-
-def register_backend(name: str, factory: Callable[[], ArrayBackend], *,
-                     module_name: Optional[str] = None,
-                     overwrite: bool = False) -> None:
-    """Register a backend factory under ``name`` (for third-party namespaces).
-
-    ``factory`` is called lazily (at most once; the instance is cached) the
-    first time :func:`get_backend` resolves the name; it should raise
-    :class:`~repro.exceptions.BackendUnavailableError` when its library is
-    missing.  Pass ``module_name`` (the importable array library, e.g.
-    ``"torch"``) so availability listings and the pre-fork
-    :func:`validate_backend_name` check can probe it side-effect-free with
-    ``find_spec``; without it, availability can only be probed by
-    construction.  Duplicate names raise :class:`SpecificationError` unless
-    ``overwrite`` is given; overwriting drops any cached instance or probe
-    verdict for the name.
-    """
-    key = name.lower()
-    if key in _FACTORIES and not overwrite:
-        raise SpecificationError(
-            f"backend {name!r} is already registered")
-    _FACTORIES[key] = factory
-    if module_name is not None:
-        _PROBE_MODULES[key] = module_name
-    else:
-        _PROBE_MODULES.pop(key, None)
-    _INSTANCES.pop(key, None)
-    _UNAVAILABLE.discard(key)
-
-
-def get_backend(backend: BackendLike = None) -> ArrayBackend:
-    """Resolve a backend selector to a live :class:`ArrayBackend`.
+def get_backend(backend: BackendLike = None) -> NumpyBackend:
+    """Validate a backend selector and return the :class:`NumpyBackend`.
 
     ``None`` resolves through the :data:`BACKEND_ENV_VAR` environment
-    variable, falling back to :data:`DEFAULT_BACKEND`; a string looks up the
-    registry (case-insensitive, instance cached per name); an
-    :class:`ArrayBackend` instance passes through untouched.
+    variable, falling back to :data:`DEFAULT_BACKEND`; a name is matched
+    case-insensitively; a :class:`NumpyBackend` instance passes through.
 
     Raises
     ------
     BackendUnavailableError
-        For an unknown name, or a known backend whose library is not
-        installed / has no usable device — the message lists the backends
-        that are installed.
+        For any name other than ``"numpy"``.
     """
-    if isinstance(backend, ArrayBackend):
+    if isinstance(backend, NumpyBackend):
         return backend
     if backend is None:
         backend = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
     if not isinstance(backend, str):
         raise SpecificationError(
-            f"backend must be a name or an ArrayBackend, got {backend!r}")
-    name = backend.lower()
-    if name not in _FACTORIES:
-        installed = _installed_names()
+            f"backend must be a name or a NumpyBackend, got {backend!r}")
+    if backend.lower() != DEFAULT_BACKEND:
         raise BackendUnavailableError(
-            f"unknown backend {backend!r}; registered backends: "
-            f"{sorted(_FACTORIES)} (installed here: "
-            f"{', '.join(installed) or 'none'})",
-            backend=name, installed=installed)
-    instance = _INSTANCES.get(name)
-    if instance is not None:
-        return instance
-    instance = _FACTORIES[name]()  # raises BackendUnavailableError if unusable
-    _INSTANCES[name] = instance
-    _UNAVAILABLE.discard(name)
-    return instance
+            f"unknown backend {backend!r}: the tensor engine runs on NumPy "
+            f"only (installed backends: {DEFAULT_BACKEND}); pass "
+            f"{DEFAULT_BACKEND!r} via --backend / {BACKEND_ENV_VAR} or "
+            f"backend=, or leave it unset",
+            backend=backend.lower(), installed=available_backends())
+    return _NUMPY

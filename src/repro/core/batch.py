@@ -17,8 +17,8 @@ rest of the batch proceeds — in pool mode this also keeps unpicklable
 exception objects from tearing down the whole pool, since only strings cross
 the process boundary.
 
-Tensor dispatch and array backends
-----------------------------------
+Tensor dispatch
+---------------
 When the batch is solved with ``solver="elpc-tensor"``, :func:`solve_many`
 groups instances sharing one :class:`TransportNetwork` *object* and hands
 each group to the batched tensor engine (:mod:`repro.core.tensor`) in a
@@ -33,13 +33,11 @@ Items solved in a batched group share a ``group_id`` and report the group's
 wall time (:attr:`BatchItemResult.group_wall_s`) next to the uniformly
 averaged ``runtime_s``.
 
-``backend=`` selects the array backend the tensor engine runs its DP stages
-on (:mod:`repro.core.backend`: NumPy reference, optional CuPy/JAX), validated
-up front so an unusable backend fails the whole call with an actionable
+Every engine computes in NumPy.  ``backend=`` may still name it
+(``"numpy"``); any other name fails the whole call up front with
 :class:`~repro.exceptions.BackendUnavailableError` instead of per-item
-failures; only the builtin tensor engine is backend-aware, every other
-solver computes in NumPy.  See ``docs/ARCHITECTURE.md`` for the engine layer
-map, the backend seam, and the engine/backend selection guide.
+failures.  See ``docs/ARCHITECTURE.md`` for the engine layer map and the
+engine selection guide.
 
 Multiprocessing notes
 ---------------------
@@ -360,25 +358,6 @@ def uses_tensor_dispatch(solver: Union[str, Callable[..., PipelineMapping]],
         return False
 
 
-#: Deprecated aliases served via module ``__getattr__`` (PEP 562) so that
-#: touching one raises a :class:`DeprecationWarning` instead of silently
-#: aliasing forever.
-_DEPRECATED_ALIASES = {"_use_tensor_dispatch": "uses_tensor_dispatch"}
-
-
-def __getattr__(name: str):
-    target = _DEPRECATED_ALIASES.get(name)
-    if target is not None:
-        import warnings
-
-        warnings.warn(
-            f"repro.core.batch.{name} is deprecated; use "
-            f"repro.core.batch.{target} instead",
-            DeprecationWarning, stacklevel=2)
-        return globals()[target]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def resolve_solver_backend(solver: Union[str, Callable[..., PipelineMapping]],
                            objective: Objective,
                            backend: "BackendLike", *,
@@ -388,56 +367,33 @@ def resolve_solver_backend(solver: Union[str, Callable[..., PipelineMapping]],
     Returns the value to forward as the tensor engine's ``backend=`` kwarg,
     or ``None`` when nothing should be injected.  The rules:
 
-    * An **explicit** selection is validated up front — an unknown or
-      uninstalled backend raises
-      :class:`~repro.exceptions.BackendUnavailableError` (listing the
-      installed ones) before any solving, and a non-NumPy backend combined
-      with a solver that is not the builtin tensor engine raises
-      :class:`SpecificationError` rather than being silently ignored.
+    * An **explicit** selection is validated up front for every solver: any
+      name but ``"numpy"`` raises
+      :class:`~repro.exceptions.BackendUnavailableError` before any solving.
     * ``None`` falls back to the ``REPRO_BACKEND`` environment variable,
-      which gets the **same fail-fast validation** when the solver is the
-      backend-aware tensor engine (``REPRO_BACKEND=cupy`` without CuPy must
-      fail the call, not degrade into per-item failures).  For every other
-      solver the environment default is simply not applicable — it names the
-      tensor engine's backend, and those solvers never read it — so it is
-      ignored instead of failing unrelated batches.
-    * Under ``workers > 1`` the backend must be a *name* and is validated
-      with the light :func:`~repro.core.backend.validate_backend_name` check
-      only: constructing a GPU backend here would initialise CUDA in a
-      parent that is about to ``fork`` (which CUDA forbids) — each worker
-      constructs its own instance from the shipped name.
+      which gets the same fail-fast validation when the solver is the
+      builtin tensor engine.  For every other solver the environment
+      default is not applicable and is ignored instead of failing unrelated
+      batches.
+    * Under ``workers > 1`` the backend must be a *name*: a
+      :class:`~repro.core.backend.NumpyBackend` instance cannot be shipped to
+      worker processes.
     """
-    explicit = backend is not None
-    if not explicit:
+    tensor = uses_tensor_dispatch(solver, objective)
+    if backend is None:
         from .backend import BACKEND_ENV_VAR
 
         backend = os.environ.get(BACKEND_ENV_VAR) or None
-        if backend is None:
+        if backend is None or not tensor:
             return None
-    from .backend import get_backend, validate_backend_name
+    from .backend import get_backend
 
-    tensor = uses_tensor_dispatch(solver, objective)
-    if not tensor and not explicit:
-        return None
-    if workers > 1:
-        if not isinstance(backend, str):
-            raise SpecificationError(
-                "multiprocessing batches need the backend by name "
-                "(ArrayBackend instances cannot be shipped to worker "
-                "processes)")
-        name = validate_backend_name(backend)
-    else:
-        name = get_backend(backend).name
-    if tensor:
-        return backend
-    if name != "numpy":
-        solver_label = solver if isinstance(solver, str) else getattr(
-            solver, "__name__", str(solver))
+    if workers > 1 and not isinstance(backend, str):
         raise SpecificationError(
-            f"solver {solver_label!r} is not backend-aware; only the builtin "
-            f"tensor engine ({sorted(TENSOR_SOLVERS)}) runs on backend "
-            f"{name!r} — every other solver computes in NumPy")
-    return None
+            "multiprocessing batches need the backend by name "
+            "(NumpyBackend instances cannot be shipped to worker processes)")
+    get_backend(backend)
+    return backend if tensor else None
 
 
 def _describe_unexpected(exc: BaseException) -> Tuple[str, str]:
@@ -652,19 +608,11 @@ def solve_many(instances: Iterable[InstanceLike], *,
         Instances per worker chunk under parallelism (default: batch size /
         (2·workers), so every worker gets about two chunks).
     backend:
-        Array backend for the tensor engine's DP stages — a
-        :mod:`repro.core.backend` name (``"numpy"``, ``"cupy"``, ``"jax"``),
-        an :class:`~repro.core.backend.ArrayBackend` instance (in-process
-        batches only), or ``None`` for the ``REPRO_BACKEND``/NumPy default
-        (an unusable ``REPRO_BACKEND`` value fails tensor batches exactly
-        like an explicit one; see :func:`resolve_solver_backend`).
-        Validated before any solve: an unusable backend raises
-        :class:`~repro.exceptions.BackendUnavailableError` listing the
-        installed ones, and a non-NumPy backend combined with a solver that
-        is not the builtin tensor engine raises
-        :class:`SpecificationError` (those solvers always compute in NumPy,
-        so silently accepting e.g. ``backend="cupy"`` would misreport where
-        the numbers came from).
+        ``None`` (the ``REPRO_BACKEND`` environment variable, for tensor
+        batches), ``"numpy"``, or a :class:`~repro.core.backend.NumpyBackend`
+        (in-process batches only).  Validated before any solve: any other
+        name raises :class:`~repro.exceptions.BackendUnavailableError` (see
+        :func:`resolve_solver_backend`).
     prior:
         A previous warm-started :class:`BatchRunResult` for the *same batch*
         (matched positionally) whose networks have since drifted.  Instances
@@ -728,13 +676,6 @@ def solve_many(instances: Iterable[InstanceLike], *,
             raise SpecificationError(
                 f"warm_start/prior need an ELPC engine "
                 f"({', '.join(sorted(WARM_SOLVERS))}), got {solver_name!r}")
-        if backend_value is not None:
-            from .backend import get_backend
-
-            if get_backend(backend_value).name != "numpy":
-                raise SpecificationError(
-                    "warm-started batches compute in NumPy; drop backend= "
-                    "or pass backend=\"numpy\"")
         start = time.perf_counter()
         items, states, reused, resolved = _solve_warm(
             normalized, objective, dict(solver_kwargs), prior=prior)

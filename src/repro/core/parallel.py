@@ -46,10 +46,9 @@ resource tracker).  Platforms whose default is ``spawn`` or ``forkserver``
 :class:`~repro.exceptions.UnsupportedStartMethodError` instead of silently
 running an untested path — see :func:`_pool_context` and the "Parallel
 runtime" section of ``docs/ARCHITECTURE.md``; sequential solves
-(``workers=1``) work everywhere.  Backend selection for ``"elpc-tensor"``
-batches crosses the process boundary as a plain backend *name* inside the
-solver kwargs (:mod:`repro.core.backend` resolves it per worker), so the
-shared-memory runtime needed no changes for the backend seam.
+(``workers=1``) work everywhere.  A ``backend=`` selection for
+``"elpc-tensor"`` batches crosses the process boundary as a plain name
+inside the solver kwargs.
 """
 
 from __future__ import annotations

@@ -6,24 +6,15 @@ columns of ``B`` pipelines sharing one
 :meth:`~repro.model.network.TransportNetwork.dense_view` into ``(B, k)``
 state arrays and advance every pipeline's DP one module stage per pass over
 the view's CSR edge layout — :math:`O(B\\,|E|)` entries per stage, reduced
-per destination node with the padded-slot segment minimum of
-:meth:`repro.core.backend.ArrayBackend.segment_min`.  Every floating-point
-operation runs element-wise in the same order as the scalar and vectorized
-solvers, so values, DP tables and backtracked assignments are
-**bit-identical** to both (``tests/test_tensor_equivalence.py``).
-
-Every DP-stage operand and operation is routed through a pluggable
-:class:`~repro.core.backend.ArrayBackend` (``backend=`` parameter, default
-resolved from ``REPRO_BACKEND``/NumPy): the network's arrays are staged on
-the backend's device once per view, the stages run in its array namespace,
-and only the finished state arrays cross back to the host.  The native NumPy
-backend additionally takes an in-place scratch-buffer fast path for the
-min-delay stages; all other backends — CuPy, JAX, or a NumPy backend forced
-onto the generic path in tests — run the functional equivalent with the same
-operation order (``tests/test_backend_equivalence.py`` pins the bit-identity
-of that seam).  See ``docs/ARCHITECTURE.md`` for the engine layer map, the
-batch semantics shared with :func:`repro.core.batch.solve_many`, and the
-guide to choosing an engine/backend combination.
+per destination node over the padded-slot layout that
+:func:`repro.core.backend.stage_view` caches per view.  Every
+floating-point operation runs element-wise in the same order as the scalar
+and vectorized solvers, so values, DP tables and backtracked assignments are
+**bit-identical** to both (``tests/test_tensor_equivalence.py``).  The
+min-delay stages run in-place kernels on recycled scratch buffers; the
+frame-rate stages allocate per stage.  See ``docs/ARCHITECTURE.md`` for the
+engine layer map, the batch semantics shared with
+:func:`repro.core.batch.solve_many`, and the guide to choosing an engine.
 
 Batch semantics in one line: infeasible or malformed items never abort a
 batch — each input slot gets either a
@@ -47,7 +38,8 @@ from ..model.link import BITS_PER_BYTE
 from ..model.network import DenseNetworkView, EndToEndRequest, TransportNetwork
 from ..model.pipeline import Pipeline
 from ..model.validation import check_delay_instance, check_framerate_instance
-from .backend import ArrayBackend, BackendLike, StagedView, get_backend
+from .backend import (BackendLike, StagedView, get_backend, segment_min,
+                      stage_view)
 from .mapping import Objective, PipelineMapping, mapping_from_assignment
 from .vectorized import _as_dp_table, _backtrack
 
@@ -136,29 +128,24 @@ def _stage_arrays(pipelines: Sequence[Pipeline], alive: Sequence[int],
 
 
 # --------------------------------------------------------------------------- #
-# Min-delay DP stage sweeps
+# Min-delay DP stage sweep
 # --------------------------------------------------------------------------- #
-def _min_delay_stages_inplace(staged: StagedView, A: int, n_arr: np.ndarray,
-                              src: np.ndarray, workload: np.ndarray,
-                              message: np.ndarray, *,
-                              include_link_delay: bool) -> Tuple[np.ndarray,
-                                                                 np.ndarray,
-                                                                 np.ndarray]:
-    """The native-NumPy min-delay sweep: in-place kernels on scratch buffers.
+def _min_delay_stages(staged: StagedView, A: int, n_arr: np.ndarray,
+                      src: np.ndarray, workload: np.ndarray,
+                      message: np.ndarray, *,
+                      include_link_delay: bool) -> Tuple[np.ndarray,
+                                                         np.ndarray,
+                                                         np.ndarray]:
+    """The min-delay sweep: in-place kernels on scratch buffers.
 
     One stage is ~12 array passes over ``(A, 2|E|)`` / ``(A, k)`` operands,
     so recycling the storage (and taking the slice fast path while every
     pipeline is still running) removes a third of the batched DP's wall time
-    without touching any arithmetic — which is why this path stays alongside
-    :func:`_min_delay_stages_generic`: ``out=`` / ``np.copyto`` kernels are
-    not expressible in the portable array API.  Only selected when the
-    backend reports ``supports_inplace`` (native NumPy); the generic sweep
-    performs the same operations in the same order, so both produce
-    bit-identical ``(values, pred, same)`` state arrays.
+    without touching any arithmetic.  Returns the ``(values, pred, same)``
+    state arrays.
     """
     k = staged.k
     n_max = int(n_arr.max())
-    rows = np.arange(k)
 
     values = np.full((A, n_max, k), np.inf)
     pred = np.full((A, n_max, k), -1, dtype=np.int64)
@@ -166,7 +153,7 @@ def _min_delay_stages_inplace(staged: StagedView, A: int, n_arr: np.ndarray,
     values[np.arange(A), 0, src] = 0.0
 
     # The per-node minimum runs over the staged padded-slot layout (see
-    # ArrayBackend.segment_min): edge costs scatter into an (A, k, max_deg)
+    # repro.core.backend.segment_min): edge costs scatter into an (A, k, max_deg)
     # tensor (inf-padded, slots ordered by ascending u inside each node),
     # whose contiguous min/argmin over the last axis is both faster than
     # np.minimum.reduceat on small segments and preserves the lowest-u
@@ -257,7 +244,7 @@ def _min_delay_stages_inplace(staged: StagedView, A: int, n_arr: np.ndarray,
             np.copyto(col, cross_best, where=take_cross)
             pcol = pred[:, j] if act is None else np.empty((A_j, k),
                                                            dtype=np.int64)
-            pcol[:] = rows[None, :]
+            pcol[:] = staged.rows[None, :]
             np.copyto(pcol, best_u, where=take_cross)
             scol = same[:, j] if act is None else np.empty((A_j, k),
                                                            dtype=bool)
@@ -267,77 +254,6 @@ def _min_delay_stages_inplace(staged: StagedView, A: int, n_arr: np.ndarray,
                 pred[act, j] = pcol
                 same[act, j] = scol
     return values, pred, same
-
-
-def _min_delay_stages_generic(backend: ArrayBackend, staged: StagedView,
-                              A: int, n_arr: np.ndarray, src: np.ndarray,
-                              workload: np.ndarray, message: np.ndarray, *,
-                              include_link_delay: bool) -> Tuple[np.ndarray,
-                                                                 np.ndarray,
-                                                                 np.ndarray]:
-    """The backend-portable min-delay sweep: functional ops in ``backend.xp``.
-
-    Performs exactly the operations of :func:`_min_delay_stages_inplace`, in
-    the same order, expressed through the array-API subset every backend
-    offers (no ``out=`` buffers, scatters via
-    :meth:`~repro.core.backend.ArrayBackend.scatter_set` for JAX's immutable
-    arrays).  Host arrays cross to the device per stage; the finished state
-    arrays cross back once.  Bit-identity against the in-place sweep is
-    pinned by ``tests/test_backend_equivalence.py`` with a NumPy backend
-    forced onto this path.
-    """
-    xp = backend.xp
-    k = staged.k
-    n_max = int(n_arr.max())
-    int64 = xp.int64
-
-    values = xp.full((A, n_max, k), float("inf"))
-    pred = xp.full((A, n_max, k), -1, dtype=int64)
-    same = xp.zeros((A, n_max, k), dtype=bool)
-    values = backend.scatter_set(
-        values, (xp.arange(A), 0, backend.asarray(src)), 0.0)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(1, n_max):
-            act_host = np.flatnonzero(n_arr > j)
-            if act_host.size == 0:
-                break
-            full = act_host.size == A
-            if full:
-                prev = values[:, j - 1]
-                stage_workload = workload[j]
-                stage_message = message[j]
-            else:
-                act = backend.asarray(act_host)
-                prev = values[act, j - 1]
-                stage_workload = workload[j][act_host]
-                stage_message = message[j][act_host]
-            w = backend.asarray(stage_workload)
-            m = backend.asarray(stage_message)
-            compute = w[:, None] / staged.power_ms[None, :]
-            # Transport term (m·8/b)·10³ + d, the exact operation chain of
-            # transport_matrix_ms / transfer_time_ms.
-            cost = ((m * BITS_PER_BYTE)[:, None]
-                    / staged.edge_bandwidth_bits_per_s[None, :])
-            cost = cost * 1e3
-            if include_link_delay:
-                cost = cost + staged.edge_link_delay[None, :]
-            # Sub-case (ii) on edges: (T_prev(u) + compute(v)) + trans(u, v).
-            gather = xp.take(prev, staged.edge_u, axis=1)
-            cand = (gather + xp.take(compute, staged.edge_v, axis=1)) + cost
-            cross_best, best_u = backend.segment_min(cand, staged)
-            # Sub-case (i): same-node transition wins ties (strict "<").
-            same_cand = prev + compute
-            take_cross = cross_best < same_cand
-            col = xp.where(take_cross, cross_best, same_cand)
-            pcol = xp.where(take_cross, best_u, staged.rows[None, :])
-            scol = ~take_cross
-            index = (slice(None), j) if full else (act, j)
-            values = backend.scatter_set(values, index, col)
-            pred = backend.scatter_set(pred, index, pcol)
-            same = backend.scatter_set(same, index, scol)
-    return (backend.to_numpy(values), backend.to_numpy(pred),
-            backend.to_numpy(same))
 
 
 def elpc_min_delay_many(pipelines: Sequence[Pipeline],
@@ -381,12 +297,9 @@ def elpc_min_delay_many(pipelines: Sequence[Pipeline],
         ``solve_many`` batches need no extra argument.)  ``view`` must
         describe ``network``'s topology.
     backend:
-        Array backend to run the DP stages on: a name (``"numpy"``,
-        ``"cupy"``, ``"jax"``), an
-        :class:`~repro.core.backend.ArrayBackend` instance, or ``None`` to
-        resolve through the ``REPRO_BACKEND`` environment variable (default
-        NumPy).  Results are bit-identical across backends wherever their
-        IEEE-754 arithmetic is; an unusable backend raises
+        ``None`` (resolved through the ``REPRO_BACKEND`` environment
+        variable), ``"numpy"``, or a
+        :class:`~repro.core.backend.NumpyBackend`; any other name raises
         :class:`~repro.exceptions.BackendUnavailableError` before any work.
 
     Returns
@@ -401,7 +314,7 @@ def elpc_min_delay_many(pipelines: Sequence[Pipeline],
         instance must not abort the batch.
     """
     start = time.perf_counter()
-    backend = get_backend(backend)
+    backend_name = get_backend(backend).name
     pipelines = list(pipelines)
     B = len(pipelines)
     requests = _broadcast_requests(requests, B)
@@ -420,12 +333,9 @@ def elpc_min_delay_many(pipelines: Sequence[Pipeline],
     src = np.array([view.index_of[requests[i].source] for i in alive])
     dst = np.array([view.index_of[requests[i].destination] for i in alive])
     workload, message = _stage_arrays(pipelines, alive, int(n_arr.max()))
-    staged = backend.stage_view(view)
-    sweep = (_min_delay_stages_inplace if backend.supports_inplace
-             else lambda *args, **kwargs: _min_delay_stages_generic(
-                 backend, *args, **kwargs))
-    values, pred, same = sweep(staged, A, n_arr, src, workload, message,
-                               include_link_delay=include_link_delay)
+    values, pred, same = _min_delay_stages(
+        stage_view(view), A, n_arr, src, workload, message,
+        include_link_delay=include_link_delay)
 
     # Unreachable cells (inf value) carry pred = -1 / same = False in the
     # scalar and vectorized tables; normalising once after the sweep replaces
@@ -459,7 +369,7 @@ def elpc_min_delay_many(pipelines: Sequence[Pipeline],
             "include_link_delay": include_link_delay,
             "vectorized": True,
             "tensor_batch": B,
-            "backend": backend.name,
+            "backend": backend_name,
         }
         if keep_table:
             extras["dp_table"] = _as_dp_table(view, values[a, :n], pred[a, :n],
@@ -470,90 +380,69 @@ def elpc_min_delay_many(pipelines: Sequence[Pipeline],
 
 
 # --------------------------------------------------------------------------- #
-# Frame-rate DP stage sweep (backend-portable; no reduceat anywhere)
+# Frame-rate DP stage sweep
 # --------------------------------------------------------------------------- #
-def _framerate_stages(backend: ArrayBackend, staged: StagedView, A: int,
-                      n_arr: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                      workload: np.ndarray, message: np.ndarray, *,
+def _framerate_stages(staged: StagedView, A: int, n_arr: np.ndarray,
+                      src: np.ndarray, dst: np.ndarray, workload: np.ndarray,
+                      message: np.ndarray, *,
                       include_link_delay: bool) -> Tuple[np.ndarray,
                                                          np.ndarray]:
-    """The frame-rate min-max sweep, generic over the backend's namespace.
+    """The frame-rate min-max sweep over the padded-slot segment minimum.
 
-    Unlike the min-delay sweep this is the *only* implementation — the
-    heuristic allocates per stage anyway, so the former NumPy-specific
-    ``np.minimum.reduceat`` reduction was replaced outright by the portable
-    padded-slot :meth:`~repro.core.backend.ArrayBackend.segment_min` (which
-    is also faster on the small per-node segments real topologies have).
     The per-pipeline visited-path guard is an ``(A, k, k)`` boolean tensor
-    gathered along each stage's chosen predecessors; returns the host
+    gathered along each stage's chosen predecessors; returns the
     ``(values, pred)`` state arrays.
     """
-    xp = backend.xp
     k = staged.k
     n_max = int(n_arr.max())
-    int64 = xp.int64
-    inf = float("inf")
-
-    arange_A = xp.arange(A)
-    src_dev = backend.asarray(src)
-    values = xp.full((A, n_max, k), inf)
-    pred = xp.full((A, n_max, k), -1, dtype=int64)
-    values = backend.scatter_set(values, (arange_A, 0, src_dev), 0.0)
+    arange_A = np.arange(A)
+    values = np.full((A, n_max, k), np.inf)
+    pred = np.full((A, n_max, k), -1, dtype=np.int64)
+    values[arange_A, 0, src] = 0.0
     # visited[a, u, w]: node w lies on the partial path realising T^{j-1}(u).
-    visited = xp.zeros((A, k, k), dtype=bool)
-    visited = backend.scatter_set(visited, (arange_A, src_dev, src_dev), True)
+    visited = np.zeros((A, k, k), dtype=bool)
+    visited[arange_A, src, src] = True
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(1, n_max):
-            act_host = np.flatnonzero(n_arr > j)
-            if act_host.size == 0:
+            act = np.flatnonzero(n_arr > j)
+            if act.size == 0:
                 break
-            act = backend.asarray(act_host)
-            compute = (backend.asarray(workload[j][act_host])[:, None]
-                       / staged.power_ms[None, :])
-            trans = (backend.asarray(message[j][act_host])[:, None]
-                     * BITS_PER_BYTE
+            compute = workload[j][act][:, None] / staged.power_ms[None, :]
+            trans = (message[j][act][:, None] * BITS_PER_BYTE
                      / staged.edge_bandwidth_bits_per_s[None, :]) * 1e3
             if include_link_delay:
                 trans = trans + staged.edge_link_delay[None, :]
             prev = values[act, j - 1]
             # Min-max update on edges: max(T_prev(u), compute(v), trans(u, v)),
             # nested exactly like the vectorized engine's np.maximum calls.
-            cand = xp.maximum(
-                xp.maximum(xp.take(prev, staged.edge_u, axis=1),
-                           xp.take(compute, staged.edge_v, axis=1)), trans)
+            cand = np.maximum(
+                np.maximum(np.take(prev, staged.edge_u, axis=1),
+                           np.take(compute, staged.edge_v, axis=1)), trans)
             # Visited-path guard: u -> v is forbidden when v already lies on
             # u's partial path (node reuse is not allowed in this variant).
-            vis_e = visited[act][:, staged.edge_u, staged.edge_v]
-            cand = xp.where(vis_e, inf, cand)
+            cand[visited[act][:, staged.edge_u, staged.edge_v]] = np.inf
             # Intermediate modules never sit on the destination; pipelines of
             # different lengths hit their last stage at different j.
-            last_host = n_arr[act_host] - 1 == j
-            notlast_host = ~last_host
-            if notlast_host.any():
-                mask = (backend.asarray(notlast_host)[:, None]
-                        & (staged.edge_v[None, :]
-                           == backend.asarray(dst[act_host])[:, None]))
-                cand = xp.where(mask, inf, cand)
-            col, best_u = backend.segment_min(cand, staged)
-            if last_host.any():
+            dst_act = dst[act]
+            last = n_arr[act] - 1 == j
+            if not last.all():
+                cand[~last[:, None]
+                     & (staged.edge_v[None, :] == dst_act[:, None])] = np.inf
+            col, best_u = segment_min(cand, staged)
+            if last.any():
                 # Only the destination cell of an item's last column matters.
-                li_host = np.flatnonzero(last_host)
-                li = backend.asarray(li_host)
-                dst_li = backend.asarray(dst[act_host][li_host])
-                dst_vals = col[li, dst_li]
-                col = backend.scatter_set(col, (li,), inf)
-                col = backend.scatter_set(col, (li, dst_li), dst_vals)
-            values = backend.scatter_set(values, (act, j), col)
-            reachable = xp.isfinite(col)
-            pcol = xp.where(reachable, best_u, -1)
-            pred = backend.scatter_set(pred, (act, j), pcol)
-            new_visited = xp.take_along_axis(visited[act],
+                li = np.flatnonzero(last)
+                dst_vals = col[li, dst_act[li]]
+                col[li] = np.inf
+                col[li, dst_act[li]] = dst_vals
+            values[act, j] = col
+            pred[act, j] = np.where(np.isfinite(col), best_u, -1)
+            new_visited = np.take_along_axis(visited[act],
                                              best_u[:, :, None], axis=1)
-            new_visited = backend.scatter_set(
-                new_visited, (slice(None), staged.rows, staged.rows), True)
-            visited = backend.scatter_set(visited, (act,), new_visited)
-    return backend.to_numpy(values), backend.to_numpy(pred)
+            new_visited[:, staged.rows, staged.rows] = True
+            visited[act] = new_visited
+    return values, pred
 
 
 def elpc_max_frame_rate_many(pipelines: Sequence[Pipeline],
@@ -567,8 +456,8 @@ def elpc_max_frame_rate_many(pipelines: Sequence[Pipeline],
 
     The batched counterpart of
     :func:`repro.core.vectorized.elpc_max_frame_rate_vec`: the min-max column
-    update runs on the CSR edge layout through the backend's padded-slot
-    segment minimum, the per-pipeline visited-path guard is a ``(B, k, k)``
+    update runs on the CSR edge layout through the padded-slot segment
+    minimum, the per-pipeline visited-path guard is a ``(B, k, k)``
     boolean tensor gathered along each stage's chosen predecessors, and the
     destination-as-intermediate exclusion is applied per item (pipelines of
     different lengths reach their last column at different stages).  Values,
@@ -579,7 +468,7 @@ def elpc_max_frame_rate_many(pipelines: Sequence[Pipeline],
     and batch semantics.
     """
     start = time.perf_counter()
-    backend = get_backend(backend)
+    backend_name = get_backend(backend).name
     pipelines = list(pipelines)
     B = len(pipelines)
     requests = _broadcast_requests(requests, B)
@@ -599,8 +488,7 @@ def elpc_max_frame_rate_many(pipelines: Sequence[Pipeline],
     src = np.array([view.index_of[requests[i].source] for i in alive])
     dst = np.array([view.index_of[requests[i].destination] for i in alive])
     workload, message = _stage_arrays(pipelines, alive, int(n_arr.max()))
-    staged = backend.stage_view(view)
-    values, pred = _framerate_stages(backend, staged, A, n_arr, src, dst,
+    values, pred = _framerate_stages(stage_view(view), A, n_arr, src, dst,
                                      workload, message,
                                      include_link_delay=include_link_delay)
 
@@ -628,7 +516,7 @@ def elpc_max_frame_rate_many(pipelines: Sequence[Pipeline],
             "include_link_delay": include_link_delay,
             "vectorized": True,
             "tensor_batch": B,
-            "backend": backend.name,
+            "backend": backend_name,
         }
         if keep_table:
             extras["dp_table"] = _as_dp_table(

@@ -44,13 +44,12 @@ class InfeasibleMappingError(ReproError):
 
 
 class BackendUnavailableError(SpecificationError):
-    """A requested array backend cannot be used in this environment.
+    """A requested array backend cannot be used.
 
-    Raised by :func:`repro.core.backend.get_backend` when the backend name is
-    unknown, or when the backend is known but its array library is not
-    installed (or, for CuPy, no CUDA device is visible).  The message lists
-    the backends that *are* usable here so callers — including the
-    ``--backend`` CLI flag — can tell the user exactly what to switch to.
+    Raised by :func:`repro.core.backend.get_backend` for any backend name
+    other than ``"numpy"``.  The message lists the usable backends so
+    callers — including the ``--backend`` CLI flag — can tell the user what
+    to switch to.
     """
 
     def __init__(self, message: str, *, backend: str | None = None,

@@ -299,8 +299,8 @@ class DenseNetworkView:
         their new ``(bandwidth_mbps, min_delay_ms)``.  The returned view is a
         **new object** that shares every unchanged array with this one and
         carries fresh frozen copies only of the arrays a patch touches — so
-        every consumer cache keyed by view identity (the staged-backend
-        cache, the shared-memory export table, the scaled-view cache)
+        every consumer cache keyed by view identity (the tensor engine's
+        staging cache, the shared-memory export table, the scaled-view cache)
         correctly misses, while the untouched topology arrays stay zero-copy.
 
         Patched entries apply the exact element-wise operations

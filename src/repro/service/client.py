@@ -13,10 +13,9 @@ evicted the connection, or an intermediary dropped it — surfaces as a
 closed-connection read on the next exchange and is retried exactly once on
 a fresh connection, transparently (solves are pure, so the retry is safe).
 
-``keep_alive=False`` restores the previous one-connection-per-request
-behavior, deliberately kept on :mod:`http.client` exactly as it shipped:
-``repro loadtest`` uses it as the measured baseline for what the keep-alive
-path buys.
+``keep_alive=False`` opens one :mod:`http.client` connection per request
+instead; against a ``--replicas`` fleet, fresh connections let the kernel
+spread requests over the ``SO_REUSEPORT`` listeners.
 
 The client advertises the ``repro-serve/2`` wire schema of
 :mod:`repro.service.wire` (every request carries ``schema`` and may carry a
@@ -124,7 +123,7 @@ class ServiceClient:
         ``True`` (default): one persistent connection per calling thread,
         reused across requests with a single transparent retry on a stale
         socket.  ``False``: a fresh :class:`~http.client.HTTPConnection` per
-        request (the pre-keep-alive behavior, kept as the loadtest baseline).
+        request (spreads requests over a replica fleet's listeners).
 
     The client is thread-safe: connections are thread-local, so N threads
     sharing one client hold N server-side connections, each keep-alive.
@@ -260,8 +259,7 @@ class ServiceClient:
 
     def _exchange_per_request(self, method: str, path: str,
                               body: Optional[bytes]) -> bytes:
-        """One fresh connection per exchange — the pre-keep-alive transport,
-        preserved verbatim (``http.client`` and all) as the A/B baseline."""
+        """One fresh ``http.client`` connection per exchange."""
         headers = {"Connection": "close"}
         if body is not None:
             headers["Content-Type"] = "application/json"

@@ -13,11 +13,6 @@ first request of a burst opens a coalescing window bounded by it (reaching
 ``max_batch`` still flushes early; ``max_wait_ms=0`` flushes immediately —
 the no-coalescing configuration).
 
-``ServiceConfig(continuous_batching=False)`` restores the pre-continuous
-fixed-window policy (every flush waits out the ``max_wait_ms`` window even
-when the executor just freed) — kept as the measurable baseline for
-``repro loadtest`` A/B runs, not for deployment.
-
 Each flush is partitioned by :meth:`SolveRequest.dispatch_key` (solver ×
 objective × backend × solver kwargs) and every partition goes through one
 :func:`repro.core.batch.solve_many` call, so coalesced same-network requests
@@ -65,23 +60,17 @@ class ServiceConfig:
     max_wait_ms:
         Idle-engine bound: flush at latest this long after the oldest
         pending request arrived; ``0`` disables coalescing (every request
-        flushes immediately).  Under continuous batching a busy executor
-        replaces the window — requests arriving mid-flush dispatch the
-        moment the executor frees.
-    continuous_batching:
-        ``True`` (default): dispatch the accumulated batch as soon as the
-        executor frees; ``max_wait_ms`` only bounds the idle-engine case.
-        ``False``: the legacy fixed wall-clock window policy (every flush
-        waits ``max_wait_ms`` from its oldest arrival) — the loadtest
-        baseline configuration.
+        flushes immediately).  A busy executor replaces the window —
+        requests arriving mid-flush dispatch the moment the executor frees.
     workers:
         ``None``/0/1 solves flushes in-process; ``N > 1`` keeps one
         persistent shared-memory :class:`ParallelBatchRunner` under every
         flush.
     backend:
         Default array backend *name* for tensor solves (requests may override
-        per-call); validated when the service starts so a misconfigured
-        deployment fails at boot, not per request.
+        per-call; ``"numpy"`` is the only one); validated when the service
+        starts so a misconfigured deployment fails at boot, not per
+        request.
     default_solver:
         Solver used by requests that do not name one.
     intern_networks:
@@ -121,7 +110,6 @@ class ServiceConfig:
 
     max_batch: int = 32
     max_wait_ms: float = 2.0
-    continuous_batching: bool = True
     workers: Optional[int] = None
     backend: Optional[str] = None
     default_solver: str = "elpc-tensor"
@@ -421,11 +409,8 @@ class SolveService:
 
     def status(self) -> Dict[str, Any]:
         """The ``/healthz`` payload: queue state + engine/backend config."""
-        from ..core.backend import BACKEND_ENV_VAR
-        import os
+        from ..core.backend import DEFAULT_BACKEND
 
-        backend = (self.config.backend
-                   or os.environ.get(BACKEND_ENV_VAR) or "numpy")
         payload: Dict[str, Any] = {
             "status": "ok" if self._running else "stopped",
             "replica_id": self.replica_id,
@@ -448,9 +433,8 @@ class SolveService:
             "queue_wait_ms_max": self.queue_wait_s_max * 1e3,
             "max_batch": self.config.max_batch,
             "max_wait_ms": self.config.max_wait_ms,
-            "continuous_batching": self.config.continuous_batching,
             "default_solver": self.config.default_solver,
-            "backend": backend,
+            "backend": DEFAULT_BACKEND,
             "workers": int(self.config.workers or 1),
             "interned_networks": len(self.interner),
             "admission_control": self.config.admission_control,
@@ -495,9 +479,7 @@ class SolveService:
         that flush was executing are dispatched *immediately* once it
         returns — the executor freeing is the trigger, not a wall-clock
         deadline.  Only an idle engine (queue was empty when the request
-        arrived) opens the ``max_wait_ms`` coalescing window; with
-        ``continuous_batching=False`` every flush waits out the window (the
-        legacy policy, kept as the loadtest baseline).
+        arrived) opens the ``max_wait_ms`` coalescing window.
         """
         executor_busy = False
         while self._running or self._pending:
@@ -508,8 +490,7 @@ class SolveService:
                     break
                 await self._wake.wait()
                 continue
-            busy_dispatch = self.config.continuous_batching and executor_busy
-            if not busy_dispatch:
+            if not executor_busy:
                 deadline = self._pending[0][2] + self.config.max_wait_ms / 1e3
                 while (self._running
                        and len(self._pending) < self.config.max_batch):
@@ -524,7 +505,7 @@ class SolveService:
                         break
             batch = self._pending[: self.config.max_batch]
             del self._pending[: len(batch)]
-            self._record_flush(batch, busy=busy_dispatch)
+            self._record_flush(batch, busy=executor_busy)
             self._inflight += len(batch)
             try:
                 await self._dispatch(batch)

@@ -5,10 +5,7 @@ Two traffic models against a running server:
 * **closed-loop** (default): N concurrent clients, each posting its next
   request the moment its previous response arrives — the classic
   capacity-measuring benchmark model.  Each client thread owns one
-  keep-alive :class:`~repro.service.client.ServiceClient`;
-  ``keep_alive=False`` reverts every client to one-connection-per-request so
-  the keep-alive saving itself can be A/B measured (that is exactly what
-  ``benchmarks/test_bench_loadtest.py`` asserts).
+  keep-alive :class:`~repro.service.client.ServiceClient`.
 * **open-loop** (``arrival_rate=`` or ``trace=``): requests fire on an
   *arrival schedule* that does not care how fast the server answers — a
   seeded Poisson process (:func:`poisson_schedule`, deterministic under
@@ -215,7 +212,6 @@ class LoadtestResult:
 
     clients: int
     duration_s: float
-    keep_alive: bool
     solver: str
     objective: Objective
     #: ``"closed"`` (self-clocked clients) or ``"open"`` (arrival schedule).
@@ -263,8 +259,7 @@ class LoadtestResult:
                       if n and _percentile_is_clamped(n, 99.0) else "")
         lines = [
             headline + (f"  (solver={self.solver}, "
-                        f"objective={self.objective.value}, "
-                        f"keep_alive={'on' if self.keep_alive else 'off'})"),
+                        f"objective={self.objective.value})"),
             f"{'requests':>18}: {self.requests_total} "
             f"({self.errors_total} errors)",
             f"{'throughput':>18}: {self.throughput_rps:,.1f} req/s",
@@ -320,7 +315,6 @@ class LoadtestResult:
             "extra:mean_group_size": round(self.mean_group_size, 3),
             "extra:clients": self.clients,
             "extra:errors": self.errors_total,
-            "extra:keep_alive": int(self.keep_alive),
             "extra:open_loop": int(self.mode == "open"),
             "extra:replicas_observed": len(self.per_replica),
         }
@@ -352,7 +346,7 @@ def run_loadtest(*, host: str = "127.0.0.1", port: int = 8423,
                  instances: Optional[Sequence[ProblemInstance]] = None,
                  solver: str = "elpc-tensor",
                  objective: Objective = Objective.MIN_DELAY,
-                 keep_alive: bool = True, use_network_refs: bool = True,
+                 use_network_refs: bool = True,
                  warmup: bool = True, timeout: float = 120.0,
                  keep_responses: bool = False,
                  arrival_rate: Optional[float] = None,
@@ -363,7 +357,7 @@ def run_loadtest(*, host: str = "127.0.0.1", port: int = 8423,
     """Run a load test against a running server (closed- or open-loop).
 
     Closed-loop (default): ``clients`` threads, each owning one
-    :class:`ServiceClient` (persistent connection under ``keep_alive=True``),
+    keep-alive :class:`ServiceClient`,
     walk the workload with stride ``clients`` from their own offsets for
     ``duration_s`` — each posts again the moment its response lands.
 
@@ -393,7 +387,7 @@ def run_loadtest(*, host: str = "127.0.0.1", port: int = 8423,
             "pass either arrival_rate (generated Poisson schedule) or "
             "trace (recorded timestamps), not both")
     common = dict(host=host, port=port, solver=solver, objective=objective,
-                  keep_alive=keep_alive, use_network_refs=use_network_refs,
+                  use_network_refs=use_network_refs,
                   warmup=warmup, timeout=timeout,
                   keep_responses=keep_responses)
     if arrival_rate is not None or trace is not None:
@@ -408,7 +402,7 @@ def run_loadtest(*, host: str = "127.0.0.1", port: int = 8423,
 def _run_closed_loop(*, host: str, port: int, clients: int,
                      duration_s: float,
                      instances: Optional[Sequence[ProblemInstance]],
-                     solver: str, objective: Objective, keep_alive: bool,
+                     solver: str, objective: Objective,
                      use_network_refs: bool, warmup: bool, timeout: float,
                      keep_responses: bool) -> LoadtestResult:
     workload = list(instances) if instances is not None else generate_workload()
@@ -425,7 +419,6 @@ def _run_closed_loop(*, host: str, port: int, clients: int,
 
     def worker(index: int) -> None:
         client = ServiceClient(host, port, timeout=timeout,
-                               keep_alive=keep_alive,
                                use_network_refs=use_network_refs)
         try:
             if warmup:
@@ -477,7 +470,7 @@ def _run_closed_loop(*, host: str, port: int, clients: int,
 
     flat = [entry for client_records in records for entry in client_records]
     return _finalize(flat, mode="closed", clients=clients, window_s=window_s,
-                     keep_alive=keep_alive, solver=solver,
+                     solver=solver,
                      objective=objective, status_before=status_before,
                      status_after=status_after, keep_responses=keep_responses,
                      offered_rps=0.0, scheduled_total=len(flat))
@@ -489,7 +482,7 @@ def _run_open_loop(*, host: str, port: int,
                    duration_s: float,
                    instances: Optional[Sequence[ProblemInstance]],
                    max_connections: int, seed: int,
-                   solver: str, objective: Objective, keep_alive: bool,
+                   solver: str, objective: Objective,
                    use_network_refs: bool, warmup: bool, timeout: float,
                    keep_responses: bool) -> LoadtestResult:
     if max_connections < 1:
@@ -529,7 +522,6 @@ def _run_open_loop(*, host: str, port: int,
 
     def worker(index: int) -> None:
         client = ServiceClient(host, port, timeout=timeout,
-                               keep_alive=keep_alive,
                                use_network_refs=use_network_refs)
         try:
             if warmup:
@@ -592,7 +584,7 @@ def _run_open_loop(*, host: str, port: int,
 
     flat = [entry for worker_records in records for entry in worker_records]
     return _finalize(flat, mode="open", clients=workers, window_s=window_s,
-                     keep_alive=keep_alive, solver=solver,
+                     solver=solver,
                      objective=objective, status_before=status_before,
                      status_after=status_after, keep_responses=keep_responses,
                      offered_rps=len(events) / horizon,
@@ -600,7 +592,7 @@ def _run_open_loop(*, host: str, port: int,
 
 
 def _finalize(flat: List[_Record], *, mode: str, clients: int,
-              window_s: float, keep_alive: bool, solver: str,
+              window_s: float, solver: str,
               objective: Objective, status_before: Dict[str, Any],
               status_after: Dict[str, Any], keep_responses: bool,
               offered_rps: float, scheduled_total: int) -> LoadtestResult:
@@ -638,7 +630,6 @@ def _finalize(flat: List[_Record], *, mode: str, clients: int,
     return LoadtestResult(
         clients=clients,
         duration_s=window_s,
-        keep_alive=keep_alive,
         solver=solver,
         objective=objective,
         mode=mode,

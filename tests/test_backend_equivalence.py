@@ -1,41 +1,30 @@
-"""Differential tests for the pluggable array-backend seam.
+"""Tests for the tensor engine's NumPy array layer (:mod:`repro.core.backend`).
 
-The tensor engine promises that routing its DP stages through
-:mod:`repro.core.backend` changes *nothing* about the results:
-
-* the NumPy backend's default (in-place) path is the pre-refactor engine —
-  ``tests/test_tensor_equivalence.py`` keeps pinning it to the vectorized and
-  scalar references;
-* the **generic** path — the one CuPy and JAX run — must be bit-identical to
-  it, which this file pins with a NumPy backend forced onto that path
-  (``NumpyBackend(force_generic=True)``) over the full fixed-seed sweep, for
-  both objectives and both cost-model variants;
-* CuPy / JAX parity runs of the same sweep are included but skipped unless
-  the library is installed (and, for CuPy, a CUDA device is visible).
-
-Plus the seam's plumbing: backend resolution (names, instances, the
-``REPRO_BACKEND`` environment default, unknown/uninstalled names raising an
-actionable :class:`BackendUnavailableError`), the padded-slot
-``segment_min`` contract, per-view device staging, and the
-``solve_many(backend=...)`` / worker-pool threading semantics.
+* backend selection: ``"numpy"`` in any case, ``None`` through the
+  ``REPRO_BACKEND`` environment default, or a :class:`NumpyBackend`
+  instance; any other name raises an actionable
+  :class:`BackendUnavailableError`;
+* the padded-slot :func:`segment_min` contract and per-view
+  :func:`stage_view` caching;
+* the general ragged-batch path of both DP sweeps, pinned bit for bit
+  against the same items solved one at a time over the full fixed-seed
+  sweep, for both objectives and both cost-model variants;
+* the ``solve_many(backend=...)`` / worker-pool threading semantics.
 """
 
 from __future__ import annotations
-
-import importlib.util
 
 import numpy as np
 import pytest
 
 from repro.core import Objective, solve_many
 from repro.core.backend import (
-    ArrayBackend,
     NumpyBackend,
     available_backends,
     get_backend,
-    register_backend,
+    segment_min,
+    stage_view,
 )
-from repro.core.backend import _FACTORIES, _INSTANCES  # test cleanup only
 from repro.core.mapping import PipelineMapping
 from repro.core.tensor import elpc_max_frame_rate_many, elpc_min_delay_many
 from repro.exceptions import (
@@ -53,18 +42,6 @@ from repro.generators import (
 from repro.model import ProblemInstance
 
 
-def _installed(module: str) -> bool:
-    return importlib.util.find_spec(module) is not None
-
-
-requires_cupy = pytest.mark.skipif(not _installed("cupy"),
-                                   reason="CuPy is not installed")
-requires_jax = pytest.mark.skipif(not _installed("jax"),
-                                  reason="JAX is not installed")
-without_cupy = pytest.mark.skipif(_installed("cupy"),
-                                  reason="CuPy is installed here")
-
-
 def _make_instance(seed: int, n_modules: int, k_nodes: int, extra_links: int):
     """One deterministic random instance (same recipe as the tensor suite)."""
     lo, hi = min_links_for_connectivity(k_nodes), max_links(k_nodes)
@@ -80,7 +57,7 @@ def _sweep_instance(seed: int):
                           k_nodes=5 + seed % 9, extra_links=seed % 12)
 
 
-def _assert_entries_identical(reference, candidate, *, exact=True):
+def _assert_entries_identical(reference, candidate):
     """Two ``*_many`` result lists: same feasibility, same values, same paths."""
     assert len(reference) == len(candidate)
     for ref, cand in zip(reference, candidate):
@@ -88,11 +65,7 @@ def _assert_entries_identical(reference, candidate, *, exact=True):
             assert isinstance(cand, PipelineMapping), (ref, cand)
             key = ("dp_value_ms" if "dp_value_ms" in ref.extras
                    else "dp_bottleneck_ms")
-            if exact:
-                assert cand.extras[key] == ref.extras[key]
-            else:
-                assert cand.extras[key] == pytest.approx(ref.extras[key],
-                                                         rel=1e-12)
+            assert cand.extras[key] == ref.extras[key]
             assert cand.path == ref.path
             assert cand.extras["dp_finite_cells"] == ref.extras["dp_finite_cells"]
         else:
@@ -109,6 +82,12 @@ def _batch(seed: int, count: int = 4):
     return pipelines, network, requests
 
 
+def _one_at_a_time(many, pipelines, network, requests, **kwargs):
+    """The same items solved as batches of one (the all-running fast path)."""
+    return [many([pipeline], network, [request], **kwargs)[0]
+            for pipeline, request in zip(pipelines, requests)]
+
+
 # --------------------------------------------------------------------------- #
 # Backend resolution
 # --------------------------------------------------------------------------- #
@@ -117,15 +96,14 @@ class TestBackendResolution:
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         backend = get_backend(None)
         assert backend.name == "numpy"
-        assert backend.supports_inplace and not backend.is_gpu
+        assert isinstance(backend, NumpyBackend)
 
     def test_named_lookup_is_cached(self):
         assert get_backend("numpy") is get_backend("NumPy")
 
     def test_instance_passes_through(self):
-        backend = NumpyBackend(force_generic=True)
+        backend = NumpyBackend()
         assert get_backend(backend) is backend
-        assert not backend.supports_inplace
 
     def test_env_var_supplies_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
@@ -140,7 +118,6 @@ class TestBackendResolution:
         assert "tpu9000" in message and "numpy" in message
         assert "numpy" in excinfo.value.installed
 
-    @without_cupy
     def test_missing_cupy_raises_actionable_error(self):
         with pytest.raises(BackendUnavailableError) as excinfo:
             get_backend("cupy")
@@ -148,9 +125,8 @@ class TestBackendResolution:
         assert "cupy" in message
         assert "installed backends" in message and "numpy" in message
         assert excinfo.value.backend == "cupy"
-        assert "numpy" in excinfo.value.installed
+        assert excinfo.value.installed == ("numpy",)
 
-    @without_cupy
     def test_env_var_failure_surfaces_in_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "cupy")
         pipelines, network, requests = _batch(3)
@@ -158,49 +134,7 @@ class TestBackendResolution:
             elpc_min_delay_many(pipelines, network, requests)
 
     def test_available_backends_contains_numpy(self):
-        installed = available_backends()
-        assert "numpy" in installed
-        assert installed == sorted(installed)
-
-    def test_validate_backend_name_is_light(self):
-        """Name validation never constructs the backend (no device probes)."""
-        from repro.core.backend import _INSTANCES, validate_backend_name
-
-        assert validate_backend_name("NumPy") == "numpy"
-        with pytest.raises(BackendUnavailableError):
-            validate_backend_name("tpu9000")
-        if not _installed("cupy"):
-            with pytest.raises(BackendUnavailableError) as excinfo:
-                validate_backend_name("cupy")
-            assert "not installed" in str(excinfo.value)
-            assert "cupy" not in _INSTANCES
-
-    @without_cupy
-    def test_listing_availability_has_no_construction_side_effects(self):
-        """available_backends() must not import/construct missing backends."""
-        from repro.core.backend import _INSTANCES, _UNAVAILABLE
-
-        installed = available_backends()
-        assert "cupy" not in installed
-        # find_spec-based probing records no construction verdicts.
-        assert "cupy" not in _INSTANCES and "cupy" not in _UNAVAILABLE
-
-    def test_register_backend_rejects_duplicates(self):
-        with pytest.raises(SpecificationError):
-            register_backend("numpy", NumpyBackend)
-
-    def test_registered_backend_resolves(self):
-        class MirrorBackend(NumpyBackend):
-            """NumPy arithmetic under a non-default name (test double)."""
-            name = "mirror"
-
-        register_backend("mirror", MirrorBackend)
-        try:
-            assert get_backend("mirror").name == "mirror"
-            assert "mirror" in available_backends()
-        finally:
-            _FACTORIES.pop("mirror", None)
-            _INSTANCES.pop("mirror", None)
+        assert available_backends() == ["numpy"]
 
 
 # --------------------------------------------------------------------------- #
@@ -208,20 +142,19 @@ class TestBackendResolution:
 # --------------------------------------------------------------------------- #
 class TestSegmentMin:
     def _staged(self, k=6, links=9, seed=3):
-        backend = get_backend("numpy")
         network = random_network(k, links, seed=seed)
         view = network.dense_view()
-        return backend, view, backend.stage_view(view)
+        return view, stage_view(view)
 
     def test_matches_bruteforce_min_and_lowest_u(self):
-        backend, view, staged = self._staged()
+        view, staged = self._staged()
         rng = np.random.default_rng(7)
         values = rng.random((3, view.n_directed_edges))
         # Force ties inside one node's segment to check the lowest-u rule.
         lo, hi = view.edge_indptr[2], view.edge_indptr[3]
         if hi - lo >= 2:
             values[:, lo:hi] = 0.25
-        best, best_u = backend.segment_min(values, staged)
+        best, best_u = segment_min(values, staged)
         for a in range(values.shape[0]):
             for v in range(view.n_nodes):
                 seg = slice(view.edge_indptr[v], view.edge_indptr[v + 1])
@@ -234,68 +167,83 @@ class TestSegmentMin:
                 assert best_u[a, v] == winners.min()
 
     def test_all_inf_segment_normalises_argmin_to_zero(self):
-        backend, view, staged = self._staged()
+        view, staged = self._staged()
         values = np.full((2, view.n_directed_edges), np.inf)
-        best, best_u = backend.segment_min(values, staged)
+        best, best_u = segment_min(values, staged)
         assert np.isinf(best).all()
         assert (best_u == 0).all()
 
     def test_edgeless_network(self):
         from repro.model import ComputingNode, TransportNetwork
 
-        backend = get_backend("numpy")
         network = TransportNetwork(nodes=[
             ComputingNode(node_id=i, processing_power=1.0) for i in range(4)])
-        staged = backend.stage_view(network.dense_view())
-        best, best_u = backend.segment_min(np.empty((2, 0)), staged)
+        staged = stage_view(network.dense_view())
+        best, best_u = segment_min(np.empty((2, 0)), staged)
         assert best.shape == (2, 4) and np.isinf(best).all()
         assert (best_u == 0).all()
 
 
 # --------------------------------------------------------------------------- #
-# Device staging
+# Per-view staging
 # --------------------------------------------------------------------------- #
 class TestStageView:
     def test_staging_is_cached_per_view(self):
-        backend = NumpyBackend()
         network = random_network(8, 16, seed=4)
         view = network.dense_view()
-        assert backend.stage_view(view) is backend.stage_view(view)
+        assert stage_view(view) is stage_view(view)
 
     def test_mutation_invalidates_through_new_view(self):
         from repro.model import ComputingNode
 
-        backend = NumpyBackend()
         network = random_network(8, 16, seed=4)
-        first = backend.stage_view(network.dense_view())
+        first = stage_view(network.dense_view())
         network.add_node(ComputingNode(node_id=99, processing_power=1.0))
-        second = backend.stage_view(network.dense_view())
+        second = stage_view(network.dense_view())
         assert second is not first
         assert second.k == first.k + 1
 
     def test_numpy_staging_is_zero_copy(self):
-        backend = NumpyBackend()
         network = random_network(8, 16, seed=4)
         view = network.dense_view()
-        staged = backend.stage_view(view)
+        staged = stage_view(view)
         assert staged.edge_u is view.edge_u
         assert staged.edge_bandwidth_bits_per_s is view.edge_bandwidth_bits_per_s
 
+    def test_collected_view_leaves_the_cache(self):
+        import gc
+
+        from repro.core import backend
+
+        network = random_network(8, 16, seed=5)
+        key = id(network.dense_view())
+        stage_view(network.dense_view())
+        assert key in backend._STAGED
+        del network
+        gc.collect()
+        assert key not in backend._STAGED
+
 
 # --------------------------------------------------------------------------- #
-# Bit-identity: NumPy vs NumPy through the generic abstraction (all seeds)
+# Bit-identity: ragged batches vs one item at a time (all seeds)
 # --------------------------------------------------------------------------- #
 class TestGenericPathBitIdentity:
-    """The portable path (what CuPy/JAX run) against the in-place fast path."""
+    """The general ragged-batch path against the all-running fast path.
 
-    generic = NumpyBackend(force_generic=True)
+    A batch of mixed-length pipelines advances its longer items through the
+    active-subset branch of each sweep and applies the last-stage
+    destination rule per item; a batch of one only ever takes the
+    all-running branch.  Both must give bit-identical results.  (The class
+    keeps the name of the portable sweep it once compared against, so the
+    test ids stay stable.)
+    """
 
     @pytest.mark.parametrize("seed", range(60))
     def test_min_delay_batch(self, seed):
         pipelines, network, requests = _batch(seed)
-        reference = elpc_min_delay_many(pipelines, network, requests)
-        candidate = elpc_min_delay_many(pipelines, network, requests,
-                                        backend=self.generic)
+        reference = _one_at_a_time(elpc_min_delay_many, pipelines, network,
+                                   requests)
+        candidate = elpc_min_delay_many(pipelines, network, requests)
         _assert_entries_identical(reference, candidate)
         for entry in candidate:
             if isinstance(entry, PipelineMapping):
@@ -304,9 +252,9 @@ class TestGenericPathBitIdentity:
     @pytest.mark.parametrize("seed", range(60))
     def test_max_frame_rate_batch(self, seed):
         pipelines, network, requests = _batch(seed)
-        reference = elpc_max_frame_rate_many(pipelines, network, requests)
-        candidate = elpc_max_frame_rate_many(pipelines, network, requests,
-                                             backend=self.generic)
+        reference = _one_at_a_time(elpc_max_frame_rate_many, pipelines,
+                                   network, requests)
+        candidate = elpc_max_frame_rate_many(pipelines, network, requests)
         _assert_entries_identical(reference, candidate)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -314,19 +262,19 @@ class TestGenericPathBitIdentity:
         """Bit-identity must also hold for the literal Eq. 1 cost model."""
         pipelines, network, requests = _batch(seed * 7 + 1)
         for many in (elpc_min_delay_many, elpc_max_frame_rate_many):
-            reference = many(pipelines, network, requests,
-                             include_link_delay=False)
+            reference = _one_at_a_time(many, pipelines, network, requests,
+                                       include_link_delay=False)
             candidate = many(pipelines, network, requests,
-                             include_link_delay=False, backend=self.generic)
+                             include_link_delay=False)
             _assert_entries_identical(reference, candidate)
 
     @pytest.mark.parametrize("seed", [2, 9, 17])
     def test_dp_tables_match(self, seed):
         pipelines, network, requests = _batch(seed)
-        reference = elpc_min_delay_many(pipelines, network, requests,
-                                        keep_table=True)
+        reference = _one_at_a_time(elpc_min_delay_many, pipelines, network,
+                                   requests, keep_table=True)
         candidate = elpc_min_delay_many(pipelines, network, requests,
-                                        keep_table=True, backend=self.generic)
+                                        keep_table=True)
         for ref, cand in zip(reference, candidate):
             if not isinstance(ref, PipelineMapping):
                 continue
@@ -341,8 +289,7 @@ class TestGenericPathBitIdentity:
         network = random_network(6, 8, seed=9)
         request = random_request(network, seed=9, min_hop_distance=1)
         pipelines = [random_pipeline(8, seed=s) for s in range(3)]
-        entries = elpc_max_frame_rate_many(pipelines, network, request,
-                                           backend=self.generic)
+        entries = elpc_max_frame_rate_many(pipelines, network, request)
         assert all(isinstance(e, InfeasibleMappingError) for e in entries)
 
     def test_ragged_lengths(self):
@@ -353,8 +300,8 @@ class TestGenericPathBitIdentity:
                     for n in (2, 9, 3, 7, 2, 11, 5)]
         for many in (elpc_min_delay_many, elpc_max_frame_rate_many):
             _assert_entries_identical(
-                many(pipelines, network, requests),
-                many(pipelines, network, requests, backend=self.generic))
+                _one_at_a_time(many, pipelines, network, requests),
+                many(pipelines, network, requests))
 
 
 # --------------------------------------------------------------------------- #
@@ -382,14 +329,6 @@ class TestSolveManyBackend:
                 if item.ok:
                     assert item.mapping.extras["backend"] == "numpy"
 
-    def test_generic_instance_matches_default(self):
-        instances = _suite()
-        default = solve_many(instances, solver="elpc-tensor")
-        generic = solve_many(instances, solver="elpc-tensor",
-                             backend=NumpyBackend(force_generic=True))
-        assert generic.values() == default.values()
-
-    @without_cupy
     def test_unavailable_backend_fails_fast(self):
         with pytest.raises(BackendUnavailableError):
             solve_many(_suite(2), solver="elpc-tensor", backend="cupy")
@@ -405,26 +344,10 @@ class TestSolveManyBackend:
         assert named.values() == plain.values()
 
     def test_non_numpy_backend_rejected_for_other_solvers(self):
-        class MirrorBackend(NumpyBackend):
-            """NumPy arithmetic under a non-default name (test double)."""
-            name = "mirror"
-
-        register_backend("mirror", MirrorBackend, overwrite=True)
-        try:
-            with pytest.raises(SpecificationError) as excinfo:
-                solve_many(_suite(2), solver="elpc-vec", backend="mirror")
-            assert "not backend-aware" in str(excinfo.value)
-            # ... while the tensor engine happily runs it, bit-identically.
-            instances = _suite()
-            mirror = solve_many(instances, solver="elpc-tensor",
-                                backend="mirror")
-            default = solve_many(instances, solver="elpc-tensor")
-            assert mirror.values() == default.values()
-            assert all(item.mapping.extras["backend"] == "mirror"
-                       for item in mirror if item.ok)
-        finally:
-            _FACTORIES.pop("mirror", None)
-            _INSTANCES.pop("mirror", None)
+        with pytest.raises(BackendUnavailableError) as excinfo:
+            solve_many(_suite(2), solver="elpc-vec", backend="cupy")
+        assert isinstance(excinfo.value, SpecificationError)
+        assert "cupy" in str(excinfo.value)
 
     def test_backend_name_crosses_worker_pool(self):
         instances = _suite(12)
@@ -443,7 +366,6 @@ class TestSolveManyBackend:
                        backend=NumpyBackend(), workers=2)
         assert "by name" in str(excinfo.value)
 
-    @without_cupy
     def test_env_var_backend_fails_fast_for_tensor_batches(self, monkeypatch):
         """REPRO_BACKEND gets the same up-front validation as an explicit
         selection — an unusable value must fail the call, not degrade into
@@ -452,7 +374,6 @@ class TestSolveManyBackend:
         with pytest.raises(BackendUnavailableError):
             solve_many(_suite(2), solver="elpc-tensor")
 
-    @without_cupy
     def test_env_var_backend_ignored_for_non_aware_solvers(self, monkeypatch):
         """The env default names the tensor engine's backend; solvers that
         never read it must not fail because it is set."""
@@ -465,38 +386,3 @@ class TestSolveManyBackend:
         result = solve_many(_suite(4), solver="elpc-tensor")
         assert all(item.mapping.extras["backend"] == "numpy"
                    for item in result if item.ok)
-
-
-# --------------------------------------------------------------------------- #
-# Accelerator parity (skipped unless the library is installed)
-# --------------------------------------------------------------------------- #
-@requires_cupy
-class TestCupyParity:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_sweep_matches_numpy(self, seed):
-        pipelines, network, requests = _batch(seed)
-        for many in (elpc_min_delay_many, elpc_max_frame_rate_many):
-            _assert_entries_identical(
-                many(pipelines, network, requests),
-                many(pipelines, network, requests, backend="cupy"))
-
-
-@requires_jax
-class TestJaxParity:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_sweep_matches_numpy(self, seed):
-        pipelines, network, requests = _batch(seed)
-        for many in (elpc_min_delay_many, elpc_max_frame_rate_many):
-            _assert_entries_identical(
-                many(pipelines, network, requests),
-                many(pipelines, network, requests, backend="jax"),
-                exact=False)
-
-
-def test_array_backend_is_extensible_contract():
-    """The protocol surface the docs promise: xp, movement, segment_min, flags."""
-    backend = get_backend("numpy")
-    assert isinstance(backend, ArrayBackend)
-    for attr in ("xp", "asarray", "to_numpy", "scatter_set", "segment_min",
-                 "stage_view", "supports_inplace", "is_gpu", "name"):
-        assert hasattr(backend, attr), attr

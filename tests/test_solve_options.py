@@ -3,8 +3,9 @@
 Covers the merge semantics shared by every consumer (legacy kwargs and
 ``options=`` must agree or raise), the acceptance points (``solve_many``,
 ``place_many``, ``ServiceConfig`` / ``SolveService``), the curated
-``repro.__all__`` (every name resolves), and the ``_use_tensor_dispatch``
-deprecation shim.
+``repro.__all__`` (every name resolves), and the canonical
+``uses_tensor_dispatch`` name that replaced the deleted
+``_use_tensor_dispatch`` alias.
 """
 
 from __future__ import annotations
@@ -172,22 +173,19 @@ class TestCuratedNamespace:
                      "validate_placements", "available_placers"):
             assert name in repro.__all__
 
-    def test_deprecated_alias_warns_and_resolves(self):
-        from repro.core import batch
-
-        with pytest.deprecated_call(match="_use_tensor_dispatch"):
-            legacy = batch._use_tensor_dispatch
-        assert legacy is batch.uses_tensor_dispatch
-
     def test_unknown_attribute_still_raises(self):
+        """The old ``_use_tensor_dispatch`` alias is gone, not resolved."""
         from repro.core import batch
 
         with pytest.raises(AttributeError):
-            batch.does_not_exist  # noqa: B018
+            batch._use_tensor_dispatch  # noqa: B018
 
     def test_no_warning_for_canonical_name(self):
+        """``uses_tensor_dispatch`` is public in ``batch.__all__`` and
+        resolves without a warning."""
         from repro.core import batch
 
+        assert "uses_tensor_dispatch" in batch.__all__
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert callable(batch.uses_tensor_dispatch)
