@@ -56,7 +56,7 @@ def main() -> None:
         print(f"flushes: {status['flushes_total']} "
               f"(coalesced: {status['coalesced_flushes_total']}), "
               f"interned networks: {status['interned_networks']}, "
-              f"backend: {status['backend']}")
+              f"solver: {status['default_solver']}")
 
 
 if __name__ == "__main__":

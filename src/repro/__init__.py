@@ -21,8 +21,8 @@ Public API highlights
   (:class:`repro.ClusterState`), via sequential packing (``"place-greedy"``)
   or a joint min-cost max-flow optimizer (``"place-flow"``),
 * :class:`repro.SolveOptions` — one frozen bundle for the batch-dispatch
-  knobs (solver, objective, backend, workers, runner, chunk_size,
-  solver_kwargs), accepted as ``options=`` by :func:`repro.solve_many`,
+  knobs (solver, objective, workers, runner, chunk_size, solver_kwargs),
+  accepted as ``options=`` by :func:`repro.solve_many`,
   :func:`repro.place_many` and the service layer,
 * :func:`repro.solve` / :func:`repro.available_solvers` — name-based access to
   every algorithm including the Streamline and Greedy baselines,
@@ -43,7 +43,6 @@ from .core import (
     BatchRunResult,
     Objective,
     PipelineMapping,
-    available_backends,
     available_solvers,
     elpc_max_frame_rate,
     elpc_max_frame_rate_many,
@@ -55,7 +54,6 @@ from .core import (
     elpc_min_delay_vec,
     exhaustive_max_frame_rate,
     exhaustive_min_delay,
-    get_backend,
     get_solver,
     mapping_from_assignment,
     register_solver,
@@ -67,7 +65,6 @@ from .core import (
 )
 from .exceptions import (
     AlgorithmError,
-    BackendUnavailableError,
     CapacityError,
     InfeasibleMappingError,
     MeasurementError,
@@ -124,10 +121,8 @@ __all__ = [
     "place_many", "ClusterState", "PlacementRequest", "PlacementItem",
     "PlacementResult", "validate_placements",
     "register_placer", "get_placer", "available_placers",
-    # array backend
-    "get_backend", "available_backends",
     # exceptions
     "ReproError", "SpecificationError", "InfeasibleMappingError",
     "CapacityError", "AlgorithmError", "SimulationError", "MeasurementError",
-    "BackendUnavailableError", "UnsupportedStartMethodError",
+    "UnsupportedStartMethodError",
 ]

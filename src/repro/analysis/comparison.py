@@ -116,7 +116,6 @@ class AgreementReport:
     disagreements: List[SolverDisagreement] = field(default_factory=list)
     solver_time_s: Dict[str, float] = field(default_factory=dict)
     workers: int = 1
-    backend: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -131,7 +130,6 @@ class AgreementReport:
             "cases": self.n_cases,
             "ok": self.ok,
             "workers": self.workers,
-            "backend": self.backend,
             "disagreements": [d.describe() for d in self.disagreements],
             "solver_time_s": {name: round(t, 6)
                               for name, t in self.solver_time_s.items()},
@@ -143,8 +141,7 @@ def check_solver_agreement(instances: Iterable[ProblemInstance], *,
                            objectives: Sequence[Objective] = (
                                Objective.MIN_DELAY, Objective.MAX_FRAME_RATE),
                            rel_tol: float = 1e-12,
-                           workers: Optional[int] = None,
-                           backend: Optional[str] = None) -> AgreementReport:
+                           workers: Optional[int] = None) -> AgreementReport:
     """Cross-check that interchangeable solvers produce identical results.
 
     The first entry of ``solvers`` is the reference; every other solver is
@@ -157,37 +154,28 @@ def check_solver_agreement(instances: Iterable[ProblemInstance], *,
     (sequential and inside worker chunks) through the check itself; the
     worker count is recorded in the report so archived CI artifacts say which
     path produced the numbers.
-
-    ``backend`` names the tensor engine's array backend (``"numpy"``, see
-    :mod:`repro.core.backend`); the resolved name is recorded in the report
-    (``None`` means the default was used) and any other name raises
-    :class:`~repro.exceptions.BackendUnavailableError` up front.
     """
-    from ..core.backend import get_backend
     from ..core.parallel import maybe_runner
 
     suite = list(instances)
-    backend_name = None if backend is None else get_backend(backend).name
     report = AgreementReport(solvers=tuple(solvers), objectives=tuple(objectives),
-                             n_cases=len(suite), workers=int(workers or 1),
-                             backend=backend_name)
+                             n_cases=len(suite), workers=int(workers or 1))
     # One pool + one shared-memory export serve the whole cross-check, not a
     # transient pool per (solver, objective) batch.
     with maybe_runner(workers) as runner:
         _check_agreement_batches(suite, solvers, objectives, report, runner,
-                                 rel_tol, backend=backend)
+                                 rel_tol)
     return report
 
 
 def _check_agreement_batches(suite, solvers, objectives,
                              report: AgreementReport, runner,
-                             rel_tol: float, *, backend=None) -> None:
+                             rel_tol: float) -> None:
     for objective in objectives:
         batches = {}
         for name in solvers:
             batch = solve_many(suite, solver=name, objective=objective,
-                               workers=report.workers, runner=runner,
-                               backend=backend)
+                               workers=report.workers, runner=runner)
             batches[name] = batch
             report.solver_time_s[name] = (report.solver_time_s.get(name, 0.0)
                                           + batch.wall_time_s)

@@ -208,8 +208,7 @@ def tensor_batch_speedup(*, batch_sizes: Sequence[int] = (8, 32, 64),
                          objective: Objective = Objective.MIN_DELAY,
                          looped_solver: str = "elpc-vec",
                          tensor_solver: str = "elpc-tensor",
-                         workers: Optional[int] = None,
-                         backend: Optional[str] = None
+                         workers: Optional[int] = None
                          ) -> TensorBatchSpeedupResult:
     """Measure the tensor engine's batched-throughput win over a per-item loop.
 
@@ -223,8 +222,7 @@ def tensor_batch_speedup(*, batch_sizes: Sequence[int] = (8, 32, 64),
     engines on a persistent :class:`~repro.core.parallel.ParallelBatchRunner`
     (the pool and the shared-memory network export are set up outside the
     timed region); the tensor path then runs one grouped solve per worker
-    chunk.  ``backend`` names the tensor passes' array backend
-    (``"numpy"``, see :mod:`repro.core.backend`).
+    chunk.
     """
     batch_sizes = sorted(int(b) for b in batch_sizes)
     network = random_network(k_nodes, n_links, seed=seed)
@@ -257,8 +255,7 @@ def tensor_batch_speedup(*, batch_sizes: Sequence[int] = (8, 32, 64),
                 looped = solve_many(sub, solver=looped_solver,
                                     objective=objective, runner=runner)
                 tensor = solve_many(sub, solver=tensor_solver,
-                                    objective=objective, runner=runner,
-                                    backend=backend)
+                                    objective=objective, runner=runner)
                 best_looped = min(best_looped, looped.wall_time_s)
                 best_tensor = min(best_tensor, tensor.wall_time_s)
                 for a, b in zip(looped.values(), tensor.values()):

@@ -23,11 +23,7 @@ Three entry points are installed with the package:
 * ``repro-bench`` — legacy alias of ``repro bench``.
 
 All of them are thin wrappers over the library API so everything they do is
-also available programmatically.  ``repro solve``, ``repro bench``,
-``repro bench-batch`` and ``repro serve`` take ``--backend`` (default
-``$REPRO_BACKEND``) naming the tensor engine's array backend; ``numpy`` is
-the only one, and any other name exits 1.  ``repro bench`` exits with
-status 3 when
+also available programmatically.  ``repro bench`` exits with status 3 when
 the interchangeable ELPC engines (``elpc`` / ``elpc-vec`` / ``elpc-tensor``)
 disagree on any suite case — the same verdict the CI benchmark gate archives
 — so scripted pipelines cannot silently publish numbers from diverging
@@ -95,28 +91,9 @@ def _build_map_parser(prog: str = "repro-map") -> argparse.ArgumentParser:
                              "repro.solve_many and print a summary table")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for --batch-seeds (default: in-process)")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="array backend for the elpc-tensor engine "
-                             "(only numpy; default: $REPRO_BACKEND or numpy)")
     parser.add_argument("--list-algorithms", action="store_true",
                         help="list registered algorithms and exit")
     return parser
-
-
-def _backend_solver_kwargs(algorithm: str, objective: Objective,
-                           backend: Optional[str]) -> dict:
-    """Solver kwargs carrying a validated ``--backend`` choice.
-
-    Delegates to :func:`repro.core.batch.resolve_solver_backend` so single
-    CLI solves and ``solve_many`` batches enforce one policy: any name but
-    ``numpy`` fails up front with
-    :class:`~repro.exceptions.BackendUnavailableError`, and only the builtin
-    tensor engine receives a ``backend=`` kwarg.
-    """
-    from .core.batch import resolve_solver_backend
-
-    value = resolve_solver_backend(algorithm, objective, backend)
-    return {} if value is None else {"backend": value}
 
 
 def _resolve_instance(args: argparse.Namespace) -> ProblemInstance:
@@ -158,7 +135,7 @@ def _batch_instances(args: argparse.Namespace) -> List[ProblemInstance]:
 def _run_batch(args: argparse.Namespace, objective: Objective) -> int:
     instances = _batch_instances(args)
     options = SolveOptions(solver=args.algorithm, objective=objective,
-                           workers=args.workers, backend=args.backend)
+                           workers=args.workers)
     result = solve_many(instances, options=options)
     unit = "ms delay" if objective is Objective.MIN_DELAY else "fps"
     print(f"batch: {len(result)} instances, solver={result.solver}, "
@@ -191,11 +168,8 @@ def main_map(argv: Optional[Sequence[str]] = None, *,
         solver = get_solver(args.algorithm, objective)
         if args.batch_seeds is not None:
             return _run_batch(args, objective)
-        solver_kwargs = _backend_solver_kwargs(args.algorithm, objective,
-                                               args.backend)
         instance = _resolve_instance(args)
-        mapping = solver(instance.pipeline, instance.network, instance.request,
-                         **solver_kwargs)
+        mapping = solver(instance.pipeline, instance.network, instance.request)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -229,10 +203,6 @@ def _build_bench_parser() -> argparse.ArgumentParser:
                         help="run the engine cross-check over N worker "
                              "processes (shared-memory pool; results must "
                              "stay identical to the in-process run)")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="array backend for the elpc-tensor side of the "
-                             "cross-check (only numpy; recorded in the "
-                             "agreement report)")
     return parser
 
 
@@ -254,7 +224,7 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
         if not args.skip_agreement:
             agreement = check_solver_agreement(
                 paper_case_suite(max_cases=args.max_cases),
-                workers=args.workers, backend=args.backend)
+                workers=args.workers)
     except ReproError as exc:  # pragma: no cover - defensive
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -278,11 +248,9 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{name:>16}: {path}")
     if agreement is not None:
         if agreement.ok:
-            backend_note = (f" (tensor backend: {agreement.backend})"
-                            if agreement.backend else "")
             print(f"engine agreement: {', '.join(agreement.solvers)} agree on "
                   f"{agreement.n_cases} cases x "
-                  f"{len(agreement.objectives)} objectives{backend_note}")
+                  f"{len(agreement.objectives)} objectives")
         else:
             print("error: ELPC engines disagree on "
                   f"{len(agreement.disagreements)} result(s):", file=sys.stderr)
@@ -371,9 +339,6 @@ def _build_bench_batch_parser(prog: str = "repro bench-batch"
     parser.add_argument("--workers", type=int, default=None,
                         help="run both engines on a persistent N-worker "
                              "shared-memory pool (default: in-process)")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="array backend for the tensor passes "
-                             "(only numpy)")
     return parser
 
 
@@ -390,7 +355,7 @@ def main_bench_batch(argv: Optional[Sequence[str]] = None, *,
         result = tensor_batch_speedup(
             batch_sizes=sizes, n_modules=args.modules, k_nodes=args.nodes,
             n_links=args.links, seed=args.seed, repetitions=args.repetitions,
-            workers=args.workers, backend=args.backend)
+            workers=args.workers)
     except ValueError:
         print(f"error: bad --batch-sizes {args.batch_sizes!r}; values must be "
               "integers", file=sys.stderr)
@@ -425,10 +390,6 @@ def _build_serve_parser(prog: str = "repro serve") -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=None,
                         help="back every flush with a persistent N-worker "
                              "shared-memory pool (default: in-process)")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="default array backend for tensor solves "
-                             "(only numpy; validated at startup — any other "
-                             "name exits 1)")
     parser.add_argument("--max-batch", type=int, default=32,
                         help="flush as soon as this many requests are queued")
     parser.add_argument("--max-wait-ms", type=float, default=2.0,
@@ -472,9 +433,9 @@ def main_serve(argv: Optional[Sequence[str]] = None, *,
     (N > 1, POSIX only) the process becomes a pre-fork supervisor: N replica
     processes share the announced listener, crashed replicas are restarted
     with bounded backoff, and the shutdown signal propagates as a graceful
-    drain to every replica.  Configuration errors — an unusable
-    ``--backend``, an unknown ``--solver``, an unbindable port, ``--replicas
-    > 1`` without ``os.fork`` — exit 1 before the server accepts any request.
+    drain to every replica.  Configuration errors — an unknown ``--solver``,
+    an unbindable port, ``--replicas > 1`` without ``os.fork`` — exit 1
+    before the server accepts any request.
     """
     import asyncio
     import signal
@@ -490,16 +451,13 @@ def main_serve(argv: Optional[Sequence[str]] = None, *,
         get_solver(args.solver, Objective.MIN_DELAY)
         config = ServiceConfig(max_batch=args.max_batch,
                                max_wait_ms=args.max_wait_ms,
-                               workers=args.workers, backend=args.backend,
+                               workers=args.workers,
                                default_solver=args.solver,
                                max_body_bytes=args.max_body_bytes,
                                admission_control=args.admission_control,
                                admission_capacity_factor=(
                                    args.admission_capacity_factor),
                                admission_demand_fps=args.admission_demand_fps)
-        from .service.dispatcher import SolveService
-
-        SolveService(config)  # validates the backend before binding the port
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -695,8 +653,8 @@ def main_loadtest(argv: Optional[Sequence[str]] = None, *,
               file=sys.stderr)
         return 2
     if result.errors_total == result.requests_total:
-        print("error: every request failed — check the server's solver/"
-              "backend configuration", file=sys.stderr)
+        print("error: every request failed — check the server's solver "
+              "configuration and the workload's requests", file=sys.stderr)
         return 2
     return 0
 

@@ -11,10 +11,6 @@
   (:func:`elpc_min_delay_many` / :func:`elpc_max_frame_rate_many`, registered
   as ``"elpc-tensor"``) that advance many pipelines' DPs over one network in
   stacked array passes, bit-identical to the scalar and vectorized solvers.
-* :mod:`repro.core.backend` — the tensor engine's NumPy array layer
-  (per-view padded-slot staging and segment minima;
-  :func:`get_backend` validates ``backend=`` / ``--backend`` /
-  ``REPRO_BACKEND`` selections, of which ``"numpy"`` is the only one).
 * :mod:`repro.core.batch` — :func:`solve_many`, the batch API behind the
   experiment sweeps and the CLI; same-network groups of an ``"elpc-tensor"``
   batch run through the tensor engine in one call per group, sequentially and
@@ -31,7 +27,6 @@
   every solver, and :mod:`repro.core.registry` to look solvers up by name.
 """
 
-from .backend import NumpyBackend, available_backends, get_backend
 from .alternatives import (
     FailureImpact,
     FaultTolerancePlan,
@@ -83,7 +78,6 @@ __all__ = [
     "elpc_min_delay_tensor", "elpc_max_frame_rate_tensor",
     "BatchItemResult", "BatchRunResult", "SolveOptions", "solve_many",
     "place_many", "ParallelBatchRunner",
-    "NumpyBackend", "get_backend", "available_backends",
     "exhaustive_min_delay", "exhaustive_max_frame_rate", "enumerate_exact_hop_paths",
     "Objective", "PipelineMapping", "mapping_from_assignment",
     "ENSPInstance", "hamiltonian_path_to_ensp", "verify_ensp_certificate",

@@ -33,11 +33,8 @@ Items solved in a batched group share a ``group_id`` and report the group's
 wall time (:attr:`BatchItemResult.group_wall_s`) next to the uniformly
 averaged ``runtime_s``.
 
-Every engine computes in NumPy.  ``backend=`` may still name it
-(``"numpy"``); any other name fails the whole call up front with
-:class:`~repro.exceptions.BackendUnavailableError` instead of per-item
-failures.  See ``docs/ARCHITECTURE.md`` for the engine layer map and the
-engine selection guide.
+See ``docs/ARCHITECTURE.md`` for the engine layer map and the engine
+selection guide.
 
 Multiprocessing notes
 ---------------------
@@ -58,7 +55,6 @@ persist across calls.
 
 from __future__ import annotations
 
-import os
 import time
 import traceback as _traceback
 from dataclasses import dataclass, field
@@ -82,12 +78,11 @@ from .mapping import Objective, PipelineMapping
 from .registry import get_solver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .backend import BackendLike
     from .parallel import ParallelBatchRunner
     from .warm import WarmState
 
 __all__ = ["BatchItemResult", "BatchRunResult", "SolveOptions", "solve_many",
-           "place_many", "resolve_solver_backend", "uses_tensor_dispatch"]
+           "place_many", "uses_tensor_dispatch"]
 
 #: Solver names whose batches are grouped by network and dispatched through
 #: the tensor engine (one batched call per group) instead of per-item solves.
@@ -107,7 +102,7 @@ InstanceLike = Union[ProblemInstance,
 class SolveOptions:
     """One bundle for the batch-dispatch knobs that used to travel as kwargs.
 
-    Every consumer of the six knobs — :func:`solve_many`,
+    Every consumer of the five knobs — :func:`solve_many`,
     :func:`place_many`, :class:`repro.service.ServiceConfig` /
     :class:`repro.service.SolveService`, and the CLI helpers — accepts an
     ``options=SolveOptions(...)`` argument.  Every field defaults to ``None``
@@ -128,14 +123,13 @@ class SolveOptions:
 
     solver: Union[str, Callable[..., PipelineMapping], None] = None
     objective: Optional[Objective] = None
-    backend: "BackendLike" = None
     workers: Optional[int] = None
     runner: Optional["ParallelBatchRunner"] = None
     chunk_size: Optional[int] = None
     solver_kwargs: Optional[Dict[str, object]] = None
 
-    def merged_with(self, *, solver=None, objective=None, backend=None,
-                    workers=None, runner=None, chunk_size=None,
+    def merged_with(self, *, solver=None, objective=None, workers=None,
+                    runner=None, chunk_size=None,
                     solver_kwargs: Optional[Dict[str, object]] = None
                     ) -> "SolveOptions":
         """This bundle merged with legacy kwargs (conflict → ``ValueError``).
@@ -172,7 +166,6 @@ class SolveOptions:
         return SolveOptions(
             solver=pick("solver", self.solver, solver),
             objective=pick("objective", self.objective, objective),
-            backend=pick("backend", self.backend, backend),
             workers=pick("workers", self.workers, workers),
             runner=pick("runner", self.runner, runner),
             chunk_size=pick("chunk_size", self.chunk_size, chunk_size),
@@ -180,7 +173,7 @@ class SolveOptions:
 
 
 def _resolve_options(options: Optional[SolveOptions], *, solver, objective,
-                     backend, workers, runner, chunk_size,
+                     workers, runner, chunk_size,
                      solver_kwargs: Dict[str, object]) -> SolveOptions:
     """Merge ``options`` with legacy kwargs (either side may be empty)."""
     base = options if options is not None else SolveOptions()
@@ -188,7 +181,7 @@ def _resolve_options(options: Optional[SolveOptions], *, solver, objective,
         raise SpecificationError(
             f"options must be a SolveOptions, got {type(base).__name__}")
     return base.merged_with(solver=solver, objective=objective,
-                            backend=backend, workers=workers, runner=runner,
+                            workers=workers, runner=runner,
                             chunk_size=chunk_size, solver_kwargs=solver_kwargs)
 
 
@@ -356,44 +349,6 @@ def uses_tensor_dispatch(solver: Union[str, Callable[..., PipelineMapping]],
         return get_solver(solver, objective) is builtin
     except ReproError:  # pragma: no cover - unknown names fail fast earlier
         return False
-
-
-def resolve_solver_backend(solver: Union[str, Callable[..., PipelineMapping]],
-                           objective: Objective,
-                           backend: "BackendLike", *,
-                           workers: int = 1):
-    """The one backend-selection policy shared by the CLI and ``solve_many``.
-
-    Returns the value to forward as the tensor engine's ``backend=`` kwarg,
-    or ``None`` when nothing should be injected.  The rules:
-
-    * An **explicit** selection is validated up front for every solver: any
-      name but ``"numpy"`` raises
-      :class:`~repro.exceptions.BackendUnavailableError` before any solving.
-    * ``None`` falls back to the ``REPRO_BACKEND`` environment variable,
-      which gets the same fail-fast validation when the solver is the
-      builtin tensor engine.  For every other solver the environment
-      default is not applicable and is ignored instead of failing unrelated
-      batches.
-    * Under ``workers > 1`` the backend must be a *name*: a
-      :class:`~repro.core.backend.NumpyBackend` instance cannot be shipped to
-      worker processes.
-    """
-    tensor = uses_tensor_dispatch(solver, objective)
-    if backend is None:
-        from .backend import BACKEND_ENV_VAR
-
-        backend = os.environ.get(BACKEND_ENV_VAR) or None
-        if backend is None or not tensor:
-            return None
-    from .backend import get_backend
-
-    if workers > 1 and not isinstance(backend, str):
-        raise SpecificationError(
-            "multiprocessing batches need the backend by name "
-            "(NumpyBackend instances cannot be shipped to worker processes)")
-    get_backend(backend)
-    return backend if tensor else None
 
 
 def _describe_unexpected(exc: BaseException) -> Tuple[str, str]:
@@ -565,7 +520,6 @@ def solve_many(instances: Iterable[InstanceLike], *,
                workers: Optional[int] = None,
                runner: Optional["ParallelBatchRunner"] = None,
                chunk_size: Optional[int] = None,
-               backend: "BackendLike" = None,
                options: Optional[SolveOptions] = None,
                prior: Optional[BatchRunResult] = None,
                warm_start: bool = False,
@@ -607,12 +561,6 @@ def solve_many(instances: Iterable[InstanceLike], *,
     chunk_size:
         Instances per worker chunk under parallelism (default: batch size /
         (2·workers), so every worker gets about two chunks).
-    backend:
-        ``None`` (the ``REPRO_BACKEND`` environment variable, for tensor
-        batches), ``"numpy"``, or a :class:`~repro.core.backend.NumpyBackend`
-        (in-process batches only).  Validated before any solve: any other
-        name raises :class:`~repro.exceptions.BackendUnavailableError` (see
-        :func:`resolve_solver_backend`).
     prior:
         A previous warm-started :class:`BatchRunResult` for the *same batch*
         (matched positionally) whose networks have since drifted.  Instances
@@ -637,14 +585,14 @@ def solve_many(instances: Iterable[InstanceLike], *,
         ``mapping=None`` rather than raised.
     """
     resolved = _resolve_options(options, solver=solver, objective=objective,
-                                backend=backend, workers=workers,
+                                workers=workers,
                                 runner=runner, chunk_size=chunk_size,
                                 solver_kwargs=solver_kwargs)
     solver = resolved.solver if resolved.solver is not None else "elpc-vec"
     objective = (resolved.objective if resolved.objective is not None
                  else Objective.MIN_DELAY)
     workers, runner = resolved.workers, resolved.runner
-    chunk_size, backend = resolved.chunk_size, resolved.backend
+    chunk_size = resolved.chunk_size
     solver_kwargs = dict(resolved.solver_kwargs or {})
 
     normalized = [_coerce_instance(i, item) for i, item in enumerate(instances)]
@@ -664,9 +612,6 @@ def solve_many(instances: Iterable[InstanceLike], *,
                 "(callables cannot be shipped to worker processes)")
         solver_name = getattr(solver, "__name__", str(solver))
 
-    backend_value = resolve_solver_backend(solver, objective, backend,
-                                           workers=n_workers)
-
     if warm_start or prior is not None:
         if runner is not None or n_workers > 1:
             raise SpecificationError(
@@ -684,9 +629,6 @@ def solve_many(instances: Iterable[InstanceLike], *,
                               wall_time_s=time.perf_counter() - start,
                               workers=1, warm_states=states,
                               warm_reused=reused, warm_resolved=resolved)
-
-    if backend_value is not None:
-        solver_kwargs["backend"] = backend_value
 
     start = time.perf_counter()
     if n_workers > 1 and len(normalized) > 1:
@@ -766,9 +708,9 @@ def place_many(requests: Iterable, *,
         *engine*, ``options.objective`` the objective and
         ``options.solver_kwargs`` extra engine kwargs — merged with the
         legacy keyword arguments under the same conflict-is-an-error rule as
-        :func:`solve_many`.  ``workers`` / ``runner`` / ``chunk_size`` /
-        ``backend`` are not applicable to placement and raise
-        :class:`SpecificationError` when set.
+        :func:`solve_many`.  ``workers`` / ``runner`` / ``chunk_size`` are
+        not applicable to placement and raise :class:`SpecificationError`
+        when set.
     prior:
         A previous :class:`repro.placement.PlacementResult` for the *same
         batch on the same cluster*, used to re-plan after the shared network
@@ -794,9 +736,9 @@ def place_many(requests: Iterable, *,
     from ..placement.registry import get_placer
 
     resolved = _resolve_options(options, solver=engine, objective=objective,
-                                backend=None, workers=None, runner=None,
+                                workers=None, runner=None,
                                 chunk_size=None, solver_kwargs=placer_kwargs)
-    for name in ("workers", "runner", "chunk_size", "backend"):
+    for name in ("workers", "runner", "chunk_size"):
         if getattr(resolved, name) is not None:
             raise SpecificationError(
                 f"SolveOptions.{name} is not applicable to place_many "

@@ -46,9 +46,7 @@ resource tracker).  Platforms whose default is ``spawn`` or ``forkserver``
 :class:`~repro.exceptions.UnsupportedStartMethodError` instead of silently
 running an untested path — see :func:`_pool_context` and the "Parallel
 runtime" section of ``docs/ARCHITECTURE.md``; sequential solves
-(``workers=1``) work everywhere.  A ``backend=`` selection for
-``"elpc-tensor"`` batches crosses the process boundary as a plain name
-inside the solver kwargs.
+(``workers=1``) work everywhere.
 """
 
 from __future__ import annotations

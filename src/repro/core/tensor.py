@@ -6,13 +6,13 @@ columns of ``B`` pipelines sharing one
 :meth:`~repro.model.network.TransportNetwork.dense_view` into ``(B, k)``
 state arrays and advance every pipeline's DP one module stage per pass over
 the view's CSR edge layout — :math:`O(B\\,|E|)` entries per stage, reduced
-per destination node over the padded-slot layout that
-:func:`repro.core.backend.stage_view` caches per view.  Every
-floating-point operation runs element-wise in the same order as the scalar
-and vectorized solvers, so values, DP tables and backtracked assignments are
-**bit-identical** to both (``tests/test_tensor_equivalence.py``).  The
-min-delay stages run in-place kernels on recycled scratch buffers; the
-frame-rate stages allocate per stage.  See ``docs/ARCHITECTURE.md`` for the
+per destination node over a padded-slot layout that :func:`stage_view`
+caches per view.  Every floating-point operation runs element-wise in the
+same order as the scalar and vectorized solvers, so values, DP tables and
+backtracked assignments are **bit-identical** to both
+(``tests/test_tensor_equivalence.py``).  The min-delay stages run in-place
+kernels on recycled scratch buffers; the frame-rate stages allocate per
+stage.  See ``docs/ARCHITECTURE.md`` for the
 engine layer map, the batch semantics shared with
 :func:`repro.core.batch.solve_many`, and the guide to choosing an engine.
 
@@ -29,7 +29,9 @@ error entry, giving the uniform solver signature.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple, Union
+import weakref
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,8 +40,6 @@ from ..model.link import BITS_PER_BYTE
 from ..model.network import DenseNetworkView, EndToEndRequest, TransportNetwork
 from ..model.pipeline import Pipeline
 from ..model.validation import check_delay_instance, check_framerate_instance
-from .backend import (BackendLike, StagedView, get_backend, segment_min,
-                      stage_view)
 from .mapping import Objective, PipelineMapping, mapping_from_assignment
 from .vectorized import _as_dp_table, _backtrack
 
@@ -128,6 +128,126 @@ def _stage_arrays(pipelines: Sequence[Pipeline], alive: Sequence[int],
 
 
 # --------------------------------------------------------------------------- #
+# Padded-slot staging of a dense view
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class StagedView:
+    """The DP-stage arrays of one :class:`DenseNetworkView`.
+
+    Produced (and cached per view) by :func:`stage_view`: the view's own
+    CSR edge arrays and transport vectors, plus the padded-slot layout
+    :func:`segment_min` reduces over.
+
+    Attributes
+    ----------
+    k, n_directed_edges, max_deg:
+        Node count, directed-edge count ``2|E|``, and the maximum in-degree
+        (the padded-slot width; 0 for an edgeless network).
+    power_ms:
+        ``(k,)`` node processing powers scaled to the DP's ms units
+        (``view.power * 1e3``).
+    edge_u, edge_v:
+        ``(2|E|,)`` directed-edge endpoint indices in CSR order.
+    edge_bandwidth_bits_per_s, edge_link_delay:
+        ``(2|E|,)`` per-edge transport attributes, aligned with ``edge_u``.
+    rows:
+        ``arange(k)`` — the same-node predecessor column.
+    flat_slot:
+        ``(2|E|,)`` scatter targets of each CSR edge inside the flattened
+        ``(k * max_deg,)`` padded layout (slots ordered by ascending ``u``
+        inside each node, so the first minimal slot is the lowest
+        predecessor index).
+    slot_to_u_flat:
+        ``(k * max(max_deg, 1),)`` inverse map from padded slot to edge
+        source index (0 in padding slots).
+    row_base:
+        ``(k,)`` offsets of each node's first slot in the flattened layout.
+    """
+
+    k: int
+    n_directed_edges: int
+    max_deg: int
+    power_ms: np.ndarray
+    edge_u: np.ndarray
+    edge_v: np.ndarray
+    edge_bandwidth_bits_per_s: np.ndarray
+    edge_link_delay: np.ndarray
+    rows: np.ndarray
+    flat_slot: np.ndarray
+    slot_to_u_flat: np.ndarray
+    row_base: np.ndarray
+
+
+_STAGED: Dict[int, StagedView] = {}
+
+
+def stage_view(view: DenseNetworkView) -> StagedView:
+    """The view's :class:`StagedView`, built on first use and cached.
+
+    Later calls return the same object until the view is garbage-collected
+    (networks cache their view until mutation, so one staging serves every
+    solve over an unchanged topology).
+    """
+    key = id(view)
+    staged = _STAGED.get(key)
+    if staged is not None:
+        return staged
+    k = view.n_nodes
+    E2 = view.n_directed_edges
+    counts = np.diff(view.edge_indptr)
+    max_deg = int(counts.max()) if E2 else 0
+    slot_within = np.arange(E2) - np.repeat(view.edge_indptr[:-1], counts)
+    flat_slot = (view.edge_v * max_deg + slot_within).astype(np.intp)
+    slot_to_u = np.zeros(k * max(max_deg, 1), dtype=np.intp)
+    slot_to_u[flat_slot] = view.edge_u
+    staged = StagedView(
+        k=k, n_directed_edges=E2, max_deg=max_deg,
+        power_ms=view.power * 1e3,
+        edge_u=view.edge_u,
+        edge_v=view.edge_v,
+        edge_bandwidth_bits_per_s=view.edge_bandwidth_bits_per_s,
+        edge_link_delay=view.edge_link_delay,
+        rows=np.arange(k),
+        flat_slot=flat_slot,
+        slot_to_u_flat=slot_to_u,
+        row_base=(np.arange(k) * max_deg).astype(np.intp))
+    _STAGED[key] = staged
+    # Evict on view collection so solves over many throwaway networks do
+    # not pin their layouts forever.
+    weakref.finalize(view, _STAGED.pop, key, None)
+    return staged
+
+
+def segment_min(values: np.ndarray, staged: StagedView):
+    """Per-destination-node minimum and lowest-``u`` argmin over edge values.
+
+    ``values`` is ``(A, 2|E|)`` of candidate costs in the view's CSR edge
+    order; returns ``(best, best_u)`` of shape ``(A, k)``.  ``best`` is
+    ``inf`` (and ``best_u`` is 0) for nodes with no incoming edge or no
+    finite candidate, exactly matching what ``np.argmin`` over an
+    all-``inf`` column yields in the vectorized engine.
+
+    Candidates scatter into an inf-padded ``(A, k, max_deg)`` tensor whose
+    contiguous min/argmin over the last axis is faster than
+    ``np.minimum.reduceat`` on the small per-node segments real topologies
+    have, and the ascending-``u`` slot order preserves the lowest-predecessor
+    tie-break for free.
+    """
+    A = values.shape[0]
+    if staged.max_deg == 0:  # edgeless network: no cross-link candidates
+        return (np.full((A, staged.k), np.inf),
+                np.zeros((A, staged.k), dtype=np.int64))
+    pad = np.full((A, staged.k * staged.max_deg), np.inf)
+    pad[:, staged.flat_slot] = values
+    pad3 = pad.reshape(A, staged.k, staged.max_deg)
+    arg = np.argmin(pad3, axis=2)
+    best = np.take_along_axis(pad3, arg[:, :, None], axis=2)[:, :, 0]
+    best_u = np.take(staged.slot_to_u_flat, arg + staged.row_base[None, :])
+    best_u = np.where(np.isfinite(best), best_u, 0)
+    return best, best_u
+
+
+# --------------------------------------------------------------------------- #
 # Min-delay DP stage sweep
 # --------------------------------------------------------------------------- #
 def _min_delay_stages(staged: StagedView, A: int, n_arr: np.ndarray,
@@ -153,7 +273,7 @@ def _min_delay_stages(staged: StagedView, A: int, n_arr: np.ndarray,
     values[np.arange(A), 0, src] = 0.0
 
     # The per-node minimum runs over the staged padded-slot layout (see
-    # repro.core.backend.segment_min): edge costs scatter into an (A, k, max_deg)
+    # segment_min): edge costs scatter into an (A, k, max_deg)
     # tensor (inf-padded, slots ordered by ascending u inside each node),
     # whose contiguous min/argmin over the last axis is both faster than
     # np.minimum.reduceat on small segments and preserves the lowest-u
@@ -261,8 +381,7 @@ def elpc_min_delay_many(pipelines: Sequence[Pipeline],
                         requests: Union[EndToEndRequest, Sequence[EndToEndRequest]],
                         *, include_link_delay: bool = True,
                         keep_table: bool = False,
-                        view: Optional[DenseNetworkView] = None,
-                        backend: BackendLike = None) -> List[BatchEntry]:
+                        view: Optional[DenseNetworkView] = None) -> List[BatchEntry]:
     """Batched exact minimum-delay mappings of many pipelines over one network.
 
     Solves the same problem as ``B`` calls of
@@ -296,11 +415,6 @@ def elpc_min_delay_many(pipelines: Sequence[Pipeline],
         network via :meth:`TransportNetwork.from_dense_view`, so plain
         ``solve_many`` batches need no extra argument.)  ``view`` must
         describe ``network``'s topology.
-    backend:
-        ``None`` (resolved through the ``REPRO_BACKEND`` environment
-        variable), ``"numpy"``, or a
-        :class:`~repro.core.backend.NumpyBackend`; any other name raises
-        :class:`~repro.exceptions.BackendUnavailableError` before any work.
 
     Returns
     -------
@@ -314,7 +428,6 @@ def elpc_min_delay_many(pipelines: Sequence[Pipeline],
         instance must not abort the batch.
     """
     start = time.perf_counter()
-    backend_name = get_backend(backend).name
     pipelines = list(pipelines)
     B = len(pipelines)
     requests = _broadcast_requests(requests, B)
@@ -369,7 +482,6 @@ def elpc_min_delay_many(pipelines: Sequence[Pipeline],
             "include_link_delay": include_link_delay,
             "vectorized": True,
             "tensor_batch": B,
-            "backend": backend_name,
         }
         if keep_table:
             extras["dp_table"] = _as_dp_table(view, values[a, :n], pred[a, :n],
@@ -450,8 +562,7 @@ def elpc_max_frame_rate_many(pipelines: Sequence[Pipeline],
                              requests: Union[EndToEndRequest, Sequence[EndToEndRequest]],
                              *, include_link_delay: bool = True,
                              keep_table: bool = False,
-                             view: Optional[DenseNetworkView] = None,
-                             backend: BackendLike = None) -> List[BatchEntry]:
+                             view: Optional[DenseNetworkView] = None) -> List[BatchEntry]:
     """Batched maximum-frame-rate heuristic for many pipelines over one network.
 
     The batched counterpart of
@@ -464,11 +575,9 @@ def elpc_max_frame_rate_many(pipelines: Sequence[Pipeline],
     feasibility outcomes and backtracked assignments are bit-identical to the
     scalar and vectorized heuristics.
 
-    See :func:`elpc_min_delay_many` for parameters (including ``backend=``)
-    and batch semantics.
+    See :func:`elpc_min_delay_many` for parameters and batch semantics.
     """
     start = time.perf_counter()
-    backend_name = get_backend(backend).name
     pipelines = list(pipelines)
     B = len(pipelines)
     requests = _broadcast_requests(requests, B)
@@ -516,7 +625,6 @@ def elpc_max_frame_rate_many(pipelines: Sequence[Pipeline],
             "include_link_delay": include_link_delay,
             "vectorized": True,
             "tensor_batch": B,
-            "backend": backend_name,
         }
         if keep_table:
             extras["dp_table"] = _as_dp_table(
@@ -530,8 +638,7 @@ def elpc_max_frame_rate_many(pipelines: Sequence[Pipeline],
 def elpc_min_delay_tensor(pipeline: Pipeline, network: TransportNetwork,
                           request: EndToEndRequest, *,
                           include_link_delay: bool = True,
-                          keep_table: bool = False,
-                          backend: BackendLike = None) -> PipelineMapping:
+                          keep_table: bool = False) -> PipelineMapping:
     """Single-instance front of :func:`elpc_min_delay_many` (``"elpc-tensor"``).
 
     Runs a batch of one so the tensor engine satisfies the registry's uniform
@@ -541,7 +648,7 @@ def elpc_min_delay_tensor(pipeline: Pipeline, network: TransportNetwork,
     """
     [entry] = elpc_min_delay_many([pipeline], network, [request],
                                   include_link_delay=include_link_delay,
-                                  keep_table=keep_table, backend=backend)
+                                  keep_table=keep_table)
     if isinstance(entry, ReproError):
         raise entry
     return entry
@@ -550,12 +657,11 @@ def elpc_min_delay_tensor(pipeline: Pipeline, network: TransportNetwork,
 def elpc_max_frame_rate_tensor(pipeline: Pipeline, network: TransportNetwork,
                                request: EndToEndRequest, *,
                                include_link_delay: bool = True,
-                               keep_table: bool = False,
-                               backend: BackendLike = None) -> PipelineMapping:
+                               keep_table: bool = False) -> PipelineMapping:
     """Single-instance front of :func:`elpc_max_frame_rate_many` (``"elpc-tensor"``)."""
     [entry] = elpc_max_frame_rate_many([pipeline], network, [request],
                                        include_link_delay=include_link_delay,
-                                       keep_table=keep_table, backend=backend)
+                                       keep_table=keep_table)
     if isinstance(entry, ReproError):
         raise entry
     return entry

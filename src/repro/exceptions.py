@@ -43,22 +43,6 @@ class InfeasibleMappingError(ReproError):
         self.n_modules = n_modules
 
 
-class BackendUnavailableError(SpecificationError):
-    """A requested array backend cannot be used.
-
-    Raised by :func:`repro.core.backend.get_backend` for any backend name
-    other than ``"numpy"``.  The message lists the usable backends so
-    callers — including the ``--backend`` CLI flag — can tell the user what
-    to switch to.
-    """
-
-    def __init__(self, message: str, *, backend: str | None = None,
-                 installed: tuple = ()):
-        super().__init__(message)
-        self.backend = backend
-        self.installed = tuple(installed)
-
-
 class CapacityError(ReproError):
     """A placement does not fit the cluster's remaining capacity.
 

@@ -280,7 +280,6 @@ class ServiceClient:
     def solve(self, instance: ProblemInstance, *,
               solver: str = "elpc-tensor",
               objective: Objective = Objective.MIN_DELAY,
-              backend: Optional[str] = None,
               priority: float = 0.0,
               **solver_kwargs) -> Dict[str, Any]:
         """Solve one instance through the service; returns the wire response.
@@ -317,15 +316,13 @@ class ServiceClient:
                 "solver": solver,
                 "objective": objective.value,
             }
-            if backend is not None:
-                payload["backend"] = backend
             if solver_kwargs:
                 payload["solver_kwargs"] = dict(solver_kwargs)
             if priority:
                 payload["priority"] = priority
         else:
             request = SolveRequest(instance=instance, solver=solver,
-                                   objective=objective, backend=backend,
+                                   objective=objective,
                                    solver_kwargs=dict(solver_kwargs),
                                    priority=priority)
             payload = request.to_wire()

@@ -14,7 +14,7 @@ first request of a burst opens a coalescing window bounded by it (reaching
 the no-coalescing configuration).
 
 Each flush is partitioned by :meth:`SolveRequest.dispatch_key` (solver ×
-objective × backend × solver kwargs) and every partition goes through one
+objective × solver kwargs) and every partition goes through one
 :func:`repro.core.batch.solve_many` call, so coalesced same-network requests
 ride the tensor engine's group path exactly like an offline batch — the
 ``group_id``/``group_size`` fields in the responses make the coalescing
@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..core.batch import SolveOptions, resolve_solver_backend, solve_many
-from ..core.mapping import Objective
+from ..core.batch import SolveOptions, solve_many
 from ..exceptions import CapacityError, ReproError, SpecificationError
 from .wire import (SUPPORTED_SCHEMAS, WIRE_SCHEMA, NetworkInterner,
                    SolveRequest, error_response, item_result_to_wire,
@@ -66,11 +65,6 @@ class ServiceConfig:
         ``None``/0/1 solves flushes in-process; ``N > 1`` keeps one
         persistent shared-memory :class:`ParallelBatchRunner` under every
         flush.
-    backend:
-        Default array backend *name* for tensor solves (requests may override
-        per-call; ``"numpy"`` is the only one); validated when the service
-        starts so a misconfigured deployment fails at boot, not per
-        request.
     default_solver:
         Solver used by requests that do not name one.
     intern_networks:
@@ -83,9 +77,9 @@ class ServiceConfig:
     options:
         A :class:`repro.SolveOptions` bundle as an alternative spelling of
         the dispatch knobs this config shares with the batch API:
-        ``options.solver`` ↔ ``default_solver``, ``options.backend`` ↔
-        ``backend``, ``options.workers`` ↔ ``workers``.  A knob set in both
-        places must agree (:class:`SpecificationError` otherwise, matching
+        ``options.solver`` ↔ ``default_solver``, ``options.workers`` ↔
+        ``workers``.  A knob set in both places must agree
+        (:class:`SpecificationError` otherwise, matching
         :func:`repro.solve_many`); ``objective`` / ``runner`` /
         ``chunk_size`` / ``solver_kwargs`` have no service-config equivalent
         (they are per-request or service-owned) and are rejected when set.
@@ -111,7 +105,6 @@ class ServiceConfig:
     max_batch: int = 32
     max_wait_ms: float = 2.0
     workers: Optional[int] = None
-    backend: Optional[str] = None
     default_solver: str = "elpc-tensor"
     intern_networks: int = 256
     max_body_bytes: int = 8 * 1024 * 1024
@@ -156,7 +149,6 @@ class ServiceConfig:
                     "(objective travels per request; the runner and chunking "
                     "are service-owned)")
         pairs = [("solver", "default_solver", "elpc-tensor"),
-                 ("backend", "backend", None),
                  ("workers", "workers", None)]
         for opt_name, cfg_name, default in pairs:
             opt_value = getattr(options, opt_name)
@@ -182,10 +174,10 @@ _Pending = Tuple[SolveRequest, "asyncio.Future", float]
 class SolveService:
     """Accepts solve requests, coalesces them, dispatches through ``solve_many``.
 
-    Lifecycle: construct (validates the configured backend), :meth:`start`
-    inside a running event loop, :meth:`submit` per request, :meth:`close` to
-    shut down — by default *draining* the queue, so every accepted request
-    still receives its response.  The HTTP front-end
+    Lifecycle: construct, :meth:`start` inside a running event loop,
+    :meth:`submit` per request, :meth:`close` to shut down — by default
+    *draining* the queue, so every accepted request still receives its
+    response.  The HTTP front-end
     (:mod:`repro.service.server`) owns exactly one of these.
     """
 
@@ -219,12 +211,6 @@ class SolveService:
                     "SolveService got options= but its ServiceConfig already "
                     "carries a different options bundle")
             self.config = dataclasses.replace(self.config, options=options)
-        # Fail at construction on an unusable default backend — the CLI turns
-        # this into exit 1 before binding a port, like the other --backend
-        # paths.
-        resolve_solver_backend(self.config.default_solver, Objective.MIN_DELAY,
-                               self.config.backend,
-                               workers=int(self.config.workers or 1))
         self.interner = NetworkInterner(max_entries=self.config.intern_networks)
         self._pending: List[_Pending] = []
         self._wake: Optional[asyncio.Event] = None
@@ -408,9 +394,7 @@ class SolveService:
         return len(self._pending) + self._inflight
 
     def status(self) -> Dict[str, Any]:
-        """The ``/healthz`` payload: queue state + engine/backend config."""
-        from ..core.backend import DEFAULT_BACKEND
-
+        """The ``/healthz`` payload: queue state + engine config."""
         payload: Dict[str, Any] = {
             "status": "ok" if self._running else "stopped",
             "replica_id": self.replica_id,
@@ -434,7 +418,6 @@ class SolveService:
             "max_batch": self.config.max_batch,
             "max_wait_ms": self.config.max_wait_ms,
             "default_solver": self.config.default_solver,
-            "backend": DEFAULT_BACKEND,
             "workers": int(self.config.workers or 1),
             "interned_networks": len(self.interner),
             "admission_control": self.config.admission_control,
@@ -554,16 +537,14 @@ class SolveService:
         call = partial(solve_many, instances,
                        solver=head.solver, objective=head.objective,
                        runner=self._runner,
-                       backend=head.backend or self.config.backend,
                        **head.solver_kwargs)
         loop = asyncio.get_running_loop()
         try:
             result = await loop.run_in_executor(self._executor, call)
         except ReproError as exc:
-            # A partition-wide rejection (unknown solver name, unusable
-            # backend, bad kwargs): recorded per request, never a dropped
-            # connection — mirroring solve_many's per-item policy one level
-            # up.
+            # A partition-wide rejection (unknown solver name, bad kwargs):
+            # recorded per request, never a dropped connection — mirroring
+            # solve_many's per-item policy one level up.
             for request, future, _arrived in entries:
                 if not future.done():
                     future.set_result(error_response(

@@ -22,7 +22,7 @@ before any buffering.  Routes:
 * ``GET /healthz`` — service status: queue depth, flush/batch-size/queue-wait
   counters, incremental-view counters (``view_epoch``,
   ``delta_patches_total``, ``warm_solves_total``, ``staleness_ms_mean``),
-  engine and backend configuration (:meth:`SolveService.status`) plus the
+  engine configuration (:meth:`SolveService.status`) plus the
   server's accepted-connection counter.
 
 Every response carries a ``replica_id`` (0 for a single-process server) so

@@ -2,7 +2,7 @@
 
 The service speaks JSON built directly on the library's own serialization:
 a solve request is :meth:`ProblemInstance.to_dict` output under an
-``"instance"`` key plus the solver/objective/backend selection fields, and a
+``"instance"`` key plus the solver/objective selection fields, and a
 solve response is one :class:`~repro.core.batch.BatchItemResult` rendered to
 a plain dictionary (``mapping`` serialised via
 :func:`repro.model.serialization.mapping_to_dict`).  Keeping the wire format
@@ -86,7 +86,9 @@ SUPPORTED_SCHEMAS = frozenset({WIRE_SCHEMA, WIRE_SCHEMA_V1})
 #: itself, not solver options.  Letting them through would either collide
 #: with the kwargs the dispatcher pins (``TypeError`` before any solve) or
 #: let a client override server policy (e.g. fork a worker pool per flush
-#: via ``workers=``), so they are rejected at parse time.
+#: via ``workers=``), so they are rejected at parse time.  ``backend`` is
+#: reserved too: the wire accepts it only as the top-level field that
+#: :meth:`SolveRequest.from_wire` checks.
 _RESERVED_SOLVER_KWARGS = frozenset(
     {"solver", "objective", "backend", "runner", "workers", "chunk_size"})
 
@@ -313,9 +315,6 @@ class SolveRequest:
         ``"elpc-tensor"`` so coalesced batches group).
     objective:
         Which objective to optimise.
-    backend:
-        Array backend *name* for the tensor engine, ``None`` for the server
-        default.
     solver_kwargs:
         Extra keyword arguments forwarded to every solve of the flush group.
     network_ref:
@@ -332,7 +331,6 @@ class SolveRequest:
     instance: ProblemInstance
     solver: str = "elpc-tensor"
     objective: Objective = Objective.MIN_DELAY
-    backend: Optional[str] = None
     solver_kwargs: Dict[str, Any] = field(default_factory=dict)
     network_ref: Optional[str] = None
     priority: float = 0.0
@@ -341,7 +339,11 @@ class SolveRequest:
     def from_wire(cls, payload: Mapping[str, Any], *,
                   interner: Optional[NetworkInterner] = None,
                   default_solver: str = "elpc-tensor") -> "SolveRequest":
-        """Parse a request payload; raises :class:`SpecificationError` on junk."""
+        """Parse a request payload; raises :class:`SpecificationError` on junk.
+
+        A ``"backend"`` field is accepted only as ``"numpy"`` (any case), the
+        one array library the engines run on, and is not kept.
+        """
         if not isinstance(payload, Mapping):
             raise SpecificationError(
                 f"solve request must be a JSON object, got {type(payload).__name__}")
@@ -394,9 +396,11 @@ class SolveRequest:
                 f"'solver' must be a registry name string, got {solver!r}")
         objective = _objective_from(payload.get("objective"))
         backend = payload.get("backend")
-        if backend is not None and not isinstance(backend, str):
+        if backend is not None and (not isinstance(backend, str)
+                                    or backend.lower() != "numpy"):
             raise SpecificationError(
-                f"'backend' must be a backend name string, got {backend!r}")
+                f"'backend' must be 'numpy' (the engines run on NumPy only) "
+                f"or absent, got {backend!r}")
         solver_kwargs = payload.get("solver_kwargs") or {}
         if not isinstance(solver_kwargs, Mapping):
             raise SpecificationError(
@@ -406,14 +410,14 @@ class SolveRequest:
             raise SpecificationError(
                 f"solver_kwargs may not override dispatch controls "
                 f"{sorted(reserved)}; use the top-level request fields "
-                "(solver/objective/backend) or the server configuration "
+                "(solver/objective) or the server configuration "
                 "(--workers)")
         priority = payload.get("priority", 0.0)
         if not isinstance(priority, (int, float)) or isinstance(priority, bool):
             raise SpecificationError(
                 f"'priority' must be a number, got {priority!r}")
         return cls(instance=instance, solver=solver, objective=objective,
-                   backend=backend, solver_kwargs=dict(solver_kwargs),
+                   solver_kwargs=dict(solver_kwargs),
                    network_ref=network_ref, priority=float(priority))
 
     def to_wire(self) -> Dict[str, Any]:
@@ -424,8 +428,6 @@ class SolveRequest:
             "solver": self.solver,
             "objective": self.objective.value,
         }
-        if self.backend is not None:
-            out["backend"] = self.backend
         if self.solver_kwargs:
             out["solver_kwargs"] = dict(self.solver_kwargs)
         if self.priority:
@@ -435,12 +437,11 @@ class SolveRequest:
     def dispatch_key(self) -> tuple:
         """Requests with equal keys may be coalesced into one ``solve_many``.
 
-        Solver, objective, backend and solver kwargs must all match — the
+        Solver, objective and solver kwargs must all match — the
         batch API applies them batch-wide, so mixing them inside one call
         would change results.
         """
         return (self.solver.lower(), self.objective,
-                self.backend,
                 json.dumps(self.solver_kwargs, sort_keys=True, default=repr))
 
 

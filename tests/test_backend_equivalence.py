@@ -1,15 +1,10 @@
-"""Tests for the tensor engine's NumPy array layer (:mod:`repro.core.backend`).
+"""Tests for the tensor engine's padded-slot staging (:mod:`repro.core.tensor`).
 
-* backend selection: ``"numpy"`` in any case, ``None`` through the
-  ``REPRO_BACKEND`` environment default, or a :class:`NumpyBackend`
-  instance; any other name raises an actionable
-  :class:`BackendUnavailableError`;
 * the padded-slot :func:`segment_min` contract and per-view
   :func:`stage_view` caching;
 * the general ragged-batch path of both DP sweeps, pinned bit for bit
   against the same items solved one at a time over the full fixed-seed
-  sweep, for both objectives and both cost-model variants;
-* the ``solve_many(backend=...)`` / worker-pool threading semantics.
+  sweep, for both objectives and both cost-model variants.
 """
 
 from __future__ import annotations
@@ -17,21 +12,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Objective, solve_many
-from repro.core.backend import (
-    NumpyBackend,
-    available_backends,
-    get_backend,
+from repro.core.mapping import PipelineMapping
+from repro.core.tensor import (
+    elpc_max_frame_rate_many,
+    elpc_min_delay_many,
     segment_min,
     stage_view,
 )
-from repro.core.mapping import PipelineMapping
-from repro.core.tensor import elpc_max_frame_rate_many, elpc_min_delay_many
-from repro.exceptions import (
-    BackendUnavailableError,
-    InfeasibleMappingError,
-    SpecificationError,
-)
+from repro.exceptions import InfeasibleMappingError
 from repro.generators import (
     max_links,
     min_links_for_connectivity,
@@ -39,7 +27,6 @@ from repro.generators import (
     random_pipeline,
     random_request,
 )
-from repro.model import ProblemInstance
 
 
 def _make_instance(seed: int, n_modules: int, k_nodes: int, extra_links: int):
@@ -86,55 +73,6 @@ def _one_at_a_time(many, pipelines, network, requests, **kwargs):
     """The same items solved as batches of one (the all-running fast path)."""
     return [many([pipeline], network, [request], **kwargs)[0]
             for pipeline, request in zip(pipelines, requests)]
-
-
-# --------------------------------------------------------------------------- #
-# Backend resolution
-# --------------------------------------------------------------------------- #
-class TestBackendResolution:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        backend = get_backend(None)
-        assert backend.name == "numpy"
-        assert isinstance(backend, NumpyBackend)
-
-    def test_named_lookup_is_cached(self):
-        assert get_backend("numpy") is get_backend("NumPy")
-
-    def test_instance_passes_through(self):
-        backend = NumpyBackend()
-        assert get_backend(backend) is backend
-
-    def test_env_var_supplies_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert get_backend(None).name == "numpy"
-        monkeypatch.setenv("REPRO_BACKEND", "")
-        assert get_backend(None).name == "numpy"
-
-    def test_unknown_name_lists_registered_and_installed(self):
-        with pytest.raises(BackendUnavailableError) as excinfo:
-            get_backend("tpu9000")
-        message = str(excinfo.value)
-        assert "tpu9000" in message and "numpy" in message
-        assert "numpy" in excinfo.value.installed
-
-    def test_missing_cupy_raises_actionable_error(self):
-        with pytest.raises(BackendUnavailableError) as excinfo:
-            get_backend("cupy")
-        message = str(excinfo.value)
-        assert "cupy" in message
-        assert "installed backends" in message and "numpy" in message
-        assert excinfo.value.backend == "cupy"
-        assert excinfo.value.installed == ("numpy",)
-
-    def test_env_var_failure_surfaces_in_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "cupy")
-        pipelines, network, requests = _batch(3)
-        with pytest.raises(BackendUnavailableError):
-            elpc_min_delay_many(pipelines, network, requests)
-
-    def test_available_backends_contains_numpy(self):
-        assert available_backends() == ["numpy"]
 
 
 # --------------------------------------------------------------------------- #
@@ -213,15 +151,15 @@ class TestStageView:
     def test_collected_view_leaves_the_cache(self):
         import gc
 
-        from repro.core import backend
+        from repro.core import tensor
 
         network = random_network(8, 16, seed=5)
         key = id(network.dense_view())
         stage_view(network.dense_view())
-        assert key in backend._STAGED
+        assert key in tensor._STAGED
         del network
         gc.collect()
-        assert key not in backend._STAGED
+        assert key not in tensor._STAGED
 
 
 # --------------------------------------------------------------------------- #
@@ -245,9 +183,6 @@ class TestGenericPathBitIdentity:
                                    requests)
         candidate = elpc_min_delay_many(pipelines, network, requests)
         _assert_entries_identical(reference, candidate)
-        for entry in candidate:
-            if isinstance(entry, PipelineMapping):
-                assert entry.extras["backend"] == "numpy"
 
     @pytest.mark.parametrize("seed", range(60))
     def test_max_frame_rate_batch(self, seed):
@@ -302,87 +237,3 @@ class TestGenericPathBitIdentity:
             _assert_entries_identical(
                 _one_at_a_time(many, pipelines, network, requests),
                 many(pipelines, network, requests))
-
-
-# --------------------------------------------------------------------------- #
-# solve_many / worker-pool threading
-# --------------------------------------------------------------------------- #
-def _suite(count=8, *, seed=7):
-    network = random_network(10, 24, seed=seed)
-    return [ProblemInstance(
-        pipeline=random_pipeline(3 + s % 5, seed=seed + s),
-        network=network,
-        request=random_request(network, seed=seed + s, min_hop_distance=1),
-        name=f"backend-{s}") for s in range(count)]
-
-
-class TestSolveManyBackend:
-    def test_numpy_backend_matches_default(self):
-        instances = _suite()
-        for objective in (Objective.MIN_DELAY, Objective.MAX_FRAME_RATE):
-            default = solve_many(instances, solver="elpc-tensor",
-                                 objective=objective)
-            named = solve_many(instances, solver="elpc-tensor",
-                               objective=objective, backend="numpy")
-            assert named.values() == default.values()
-            for item in named:
-                if item.ok:
-                    assert item.mapping.extras["backend"] == "numpy"
-
-    def test_unavailable_backend_fails_fast(self):
-        with pytest.raises(BackendUnavailableError):
-            solve_many(_suite(2), solver="elpc-tensor", backend="cupy")
-
-    def test_unknown_backend_fails_fast(self):
-        with pytest.raises(BackendUnavailableError):
-            solve_many(_suite(2), solver="elpc-tensor", backend="tpu9000")
-
-    def test_numpy_backend_is_noop_for_other_solvers(self):
-        instances = _suite(4)
-        plain = solve_many(instances, solver="elpc-vec")
-        named = solve_many(instances, solver="elpc-vec", backend="numpy")
-        assert named.values() == plain.values()
-
-    def test_non_numpy_backend_rejected_for_other_solvers(self):
-        with pytest.raises(BackendUnavailableError) as excinfo:
-            solve_many(_suite(2), solver="elpc-vec", backend="cupy")
-        assert isinstance(excinfo.value, SpecificationError)
-        assert "cupy" in str(excinfo.value)
-
-    def test_backend_name_crosses_worker_pool(self):
-        instances = _suite(12)
-        sequential = solve_many(instances, solver="elpc-tensor",
-                                backend="numpy")
-        pooled = solve_many(instances, solver="elpc-tensor",
-                            backend="numpy", workers=2)
-        assert pooled.workers == 2
-        assert pooled.values() == sequential.values()
-        assert all(item.mapping.extras["backend"] == "numpy"
-                   for item in pooled if item.ok)
-
-    def test_backend_instance_rejected_under_workers(self):
-        with pytest.raises(SpecificationError) as excinfo:
-            solve_many(_suite(4), solver="elpc-tensor",
-                       backend=NumpyBackend(), workers=2)
-        assert "by name" in str(excinfo.value)
-
-    def test_env_var_backend_fails_fast_for_tensor_batches(self, monkeypatch):
-        """REPRO_BACKEND gets the same up-front validation as an explicit
-        selection — an unusable value must fail the call, not degrade into
-        per-item failures (and a clean CLI exit 0)."""
-        monkeypatch.setenv("REPRO_BACKEND", "cupy")
-        with pytest.raises(BackendUnavailableError):
-            solve_many(_suite(2), solver="elpc-tensor")
-
-    def test_env_var_backend_ignored_for_non_aware_solvers(self, monkeypatch):
-        """The env default names the tensor engine's backend; solvers that
-        never read it must not fail because it is set."""
-        monkeypatch.setenv("REPRO_BACKEND", "cupy")
-        result = solve_many(_suite(4), solver="elpc-vec")
-        assert result.n_solved > 0
-
-    def test_env_var_backend_is_injected_for_tensor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        result = solve_many(_suite(4), solver="elpc-tensor")
-        assert all(item.mapping.extras["backend"] == "numpy"
-                   for item in result if item.ok)

@@ -160,8 +160,7 @@ class TestCheckedInBaselineCoverage:
         metrics = set(baseline["metrics"])
         for prefix in ("benchmarks/test_bench_vectorized_speedup.py",
                        "benchmarks/test_bench_tensor_batch.py",
-                       "benchmarks/test_bench_parallel_batch.py",
-                       "benchmarks/test_bench_backend.py"):
+                       "benchmarks/test_bench_parallel_batch.py"):
             assert any(name.startswith(prefix) for name in metrics), (
                 f"no baseline metric recorded for {prefix}")
 

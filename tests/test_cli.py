@@ -168,6 +168,22 @@ class TestReproUmbrella:
         assert "elpc-tensor" in out
         assert "selected path" in out
 
+    @pytest.mark.parametrize("command", ["solve", "bench", "bench-batch",
+                                         "serve"])
+    def test_backend_flag_is_an_argparse_error(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    def test_repro_backend_env_changes_no_output(self, capsys, monkeypatch):
+        argv = ["solve", "--solver", "elpc-tensor", "--case", "1"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_BACKEND", "cupy")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+
     def test_solve_lists_vectorized_and_tensor_solvers(self, capsys):
         assert main(["solve", "--list-algorithms"]) == 0
         out = capsys.readouterr().out
@@ -221,77 +237,6 @@ class TestBenchScaling:
     def test_via_umbrella(self, capsys):
         assert main(["bench-scaling", "--sizes", "4:8:14"]) == 0
         assert "Vectorized ELPC engine speedup" in capsys.readouterr().out
-
-
-class TestBackendFlag:
-    """The --backend flag: validated up front, actionable when unusable."""
-
-    def test_solve_tensor_with_numpy_backend(self, capsys):
-        assert main(["solve", "--solver", "elpc-tensor", "--case", "1",
-                     "--backend", "numpy"]) == 0
-        assert "selected path" in capsys.readouterr().out
-
-    def test_missing_backend_exits_1_listing_installed(self, capsys):
-        assert main(["solve", "--solver", "elpc-tensor", "--case", "1",
-                     "--backend", "cupy"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "cupy" in err
-        assert "installed backends" in err and "numpy" in err
-
-    def test_unknown_backend_exits_1(self, capsys):
-        assert main(["solve", "--solver", "elpc-tensor", "--case", "1",
-                     "--backend", "tpu9000"]) == 1
-        err = capsys.readouterr().err
-        assert "unknown backend" in err and "numpy" in err
-
-    def test_numpy_backend_is_noop_for_other_solvers(self, capsys):
-        assert main(["solve", "--solver", "elpc", "--case", "1",
-                     "--backend", "numpy"]) == 0
-        assert "selected path" in capsys.readouterr().out
-
-    def test_batch_seeds_with_backend(self, capsys):
-        assert main(["solve", "--solver", "elpc-tensor", "--workload",
-                     "surveillance", "--nodes", "10", "--links", "24",
-                     "--batch-seeds", "3", "--backend", "numpy"]) == 0
-        assert "solved 3/3" in capsys.readouterr().out
-
-    def test_env_var_default_fails_like_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "cupy")
-        assert main(["solve", "--solver", "elpc-tensor", "--case", "1"]) == 1
-        assert "cupy" in capsys.readouterr().err
-
-    def test_env_var_default_fails_batch_runs_too(self, capsys, monkeypatch):
-        """Regression: an unusable REPRO_BACKEND used to surface as per-item
-        'infeasible' lines with a clean exit 0 on --batch-seeds runs."""
-        monkeypatch.setenv("REPRO_BACKEND", "cupy")
-        assert main(["solve", "--solver", "elpc-tensor", "--workload",
-                     "surveillance", "--nodes", "10", "--links", "24",
-                     "--batch-seeds", "2"]) == 1
-        err = capsys.readouterr().err
-        assert "cupy" in err and "installed backends" in err
-
-    def test_env_var_ignored_for_non_aware_solvers(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "cupy")
-        assert main(["solve", "--solver", "elpc", "--case", "1"]) == 0
-        assert "selected path" in capsys.readouterr().out
-
-    def test_bench_records_backend_in_agreement(self, tmp_path, capsys):
-        json_path = tmp_path / "bench.json"
-        assert main_bench(["--output", str(tmp_path / "out"), "--max-cases",
-                           "2", "--backend", "numpy",
-                           "--emit-json", str(json_path)]) == 0
-        out = capsys.readouterr().out
-        assert "tensor backend: numpy" in out
-        payload = json.loads(json_path.read_text(encoding="utf-8"))
-        assert payload["agreement"]["backend"] == "numpy"
-        assert payload["agreement"]["ok"] is True
-
-    def test_bench_batch_with_backend(self, capsys):
-        assert main_bench_batch(["--batch-sizes", "2", "--modules", "5",
-                                 "--nodes", "8", "--links", "16",
-                                 "--backend", "numpy"]) == 0
-        assert "Tensor batch engine speedup" in capsys.readouterr().out
 
 
 class TestReproPlace:

@@ -43,7 +43,7 @@ class TestDocsExist:
         text = (DOCS_DIR / "ARCHITECTURE.md").read_text(encoding="utf-8")
         for phrase in ("Layer map", "solver registry contract",
                        "shared-memory lifecycle", "Engine selection guide",
-                       "array-backend seam", "UnsupportedStartMethodError"):
+                       "Padded-slot staging", "UnsupportedStartMethodError"):
             assert phrase in text, phrase
 
     def test_benchmarks_doc_covers_schema_and_gate(self):

@@ -3,8 +3,8 @@
 Covers the PR's service acceptance surface: wire-schema round-trips, network
 interning, concurrent clients coalescing into one tensor group flush (shared
 ``group_id``), per-request error isolation, result identity with direct
-``solve_many``, backend validation at startup (CLI exit 1), and graceful
-shutdown draining the queue.
+``solve_many``, the wire ``backend`` field check (400 unless ``numpy``),
+and graceful shutdown draining the queue.
 """
 
 from __future__ import annotations
@@ -50,6 +50,15 @@ def _instances(count, *, network_seed=3, n_nodes=12, n_links=30, n_modules=6):
     ]
 
 
+def _post_raw(conn, payload):
+    """POST ``payload`` to ``/solve`` on an open ``HTTPConnection``;
+    returns ``(status, parsed body)``."""
+    conn.request("POST", "/solve", body=json.dumps(payload).encode(),
+                 headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    return response.status, json.loads(response.read().decode())
+
+
 def _post_all(client, instances, **kwargs):
     """POST every instance from its own thread; responses in input order."""
     results = [None] * len(instances)
@@ -85,7 +94,6 @@ class TestWireSchema:
         request = SolveRequest.from_wire({"instance": instance.to_dict()})
         assert request.solver == "elpc-tensor"
         assert request.objective is Objective.MIN_DELAY
-        assert request.backend is None
 
     @pytest.mark.parametrize("payload", [
         [],
@@ -288,11 +296,52 @@ class TestErrorIsolation:
         assert payload["ok"] is False and "unknown path" in payload["error"]
 
     def test_per_request_backend_failure_is_recorded(self):
-        instances = _instances(1)
+        """A wire ``backend`` other than numpy is a 400 at parse time: never
+        queued, and the keep-alive connection keeps serving."""
+        from http.client import HTTPConnection
+
+        instance = _instances(1)[0]
         with BackgroundServer(ServiceConfig(max_wait_ms=0.0)) as server:
-            response = server.client().solve(instances[0], backend="cupy")
-        assert response["ok"] is False
-        assert "cupy" in response["error"].lower()
+            conn = HTTPConnection(server.host, server.port, timeout=30)
+            status, bad = _post_raw(conn, {"instance": instance.to_dict(),
+                                           "backend": "cupy"})
+            sock = conn.sock  # http.client drops it if the server closes
+            queued = server.client().healthz()["requests_total"]
+            good_status, good = _post_raw(conn,
+                                          {"instance": instance.to_dict()})
+            assert sock is not None and conn.sock is sock
+            conn.close()
+        assert status == 400
+        assert bad["ok"] is False
+        assert "numpy" in bad["error"] and "cupy" in bad["error"]
+        assert queued == 0
+        assert good_status == 200 and good["ok"]
+
+    def test_numpy_backend_field_in_any_case_is_accepted(self):
+        instance = _instances(1)[0]
+        with BackgroundServer(ServiceConfig(max_wait_ms=0.0)) as server:
+            client = server.client()
+            named = client.request("POST", "/solve", {
+                "instance": instance.to_dict(), "backend": "NumPy"})
+            plain = client.request("POST", "/solve",
+                                   {"instance": instance.to_dict()})
+        assert named["ok"] and plain["ok"]
+        named["mapping"].pop("runtime_s")
+        plain["mapping"].pop("runtime_s")
+        assert named["mapping"] == plain["mapping"]
+
+    @pytest.mark.parametrize("value", [7, ["numpy"], True])
+    def test_non_string_backend_field_gets_400(self, value):
+        from http.client import HTTPConnection
+
+        instance = _instances(1)[0]
+        with BackgroundServer(ServiceConfig(max_wait_ms=0.0)) as server:
+            conn = HTTPConnection(server.host, server.port, timeout=30)
+            status, payload = _post_raw(conn, {"instance": instance.to_dict(),
+                                               "backend": value})
+            conn.close()
+        assert status == 400
+        assert payload["ok"] is False and "numpy" in payload["error"]
 
 
 class TestHealthz:
@@ -306,7 +355,6 @@ class TestHealthz:
         assert status["max_batch"] == 4
         assert status["max_wait_ms"] == 7.0
         assert status["default_solver"] == "elpc-tensor"
-        assert status["backend"] == "numpy"
         assert status["workers"] == 1
 
     def test_wait_ready_times_out_against_dead_port(self):
@@ -461,19 +509,6 @@ class TestServiceWorkers:
 
 
 class TestServeCli:
-    def test_backend_validated_at_startup_exit_1(self, capsys):
-        from repro.cli import main
-
-        assert main(["serve", "--backend", "cupy"]) == 1
-        err = capsys.readouterr().err
-        assert "cupy" in err and "installed backends" in err
-
-    def test_unknown_backend_exit_1(self, capsys):
-        from repro.cli import main
-
-        assert main(["serve", "--backend", "tpu9000"]) == 1
-        assert "unknown backend" in capsys.readouterr().err
-
     def test_unknown_solver_exit_1(self, capsys):
         from repro.cli import main
 
