@@ -45,7 +45,7 @@ def churn_run():
     network = instances[0].network
     events = generate_churn_events(network, n_steps=_STEPS,
                                    edit_fraction=_EDIT_FRACTION, seed=_SEED)
-    result = simulate_churn(network, instances, events, solver="elpc-vec",
+    result = simulate_churn(network, instances, events, solver="elpc-tensor",
                             objective=Objective.MIN_DELAY, verify=True)
     return instances, result
 
@@ -79,7 +79,7 @@ def test_churn_warm_resolve(benchmark, churn_run):
     """
     instances, result = churn_run
     network = instances[0].network
-    prior = solve_many(instances, solver="elpc-vec",
+    prior = solve_many(instances, solver="elpc-tensor",
                        objective=Objective.MIN_DELAY, warm_start=True)
     for event in generate_churn_events(network, n_steps=1,
                                        edit_fraction=_EDIT_FRACTION,
@@ -87,7 +87,7 @@ def test_churn_warm_resolve(benchmark, churn_run):
         event.apply(network)
 
     def run():
-        return solve_many(instances, solver="elpc-vec",
+        return solve_many(instances, solver="elpc-tensor",
                           objective=Objective.MIN_DELAY, prior=prior)
 
     warm = benchmark(run)

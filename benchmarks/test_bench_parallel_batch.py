@@ -7,7 +7,7 @@ per-item-pickling pool lost to its own serialisation costs.  This file
 records the sequential-vs-parallel wall times of that workload and asserts
 the PR's acceptance bar: **workers=4 must be at least 2× faster than
 workers=1 on a B=256 / k=20 batch**, with results bit-identical to the
-sequential path for all three ELPC engines.
+sequential path for both ELPC engines.
 
 The timings come from the same
 :func:`repro.analysis.experiments.parallel_batch_speedup` driver the library
@@ -43,7 +43,7 @@ _K_NODES = 20
 _N_LINKS = 40
 _N_NETWORKS = 8
 _WORKERS = 4
-_ENGINES = ("elpc", "elpc-vec", "elpc-tensor")
+_ENGINES = ("elpc", "elpc-tensor")
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +77,9 @@ def test_parallel_batch_solve(benchmark, speedup_result):
     """Timed metric: one B=256 batch on a warm 2-worker runner, plus the bar."""
     instances = _batch_instances()
     with ParallelBatchRunner(workers=2) as runner:
-        solve_many(instances, solver="elpc-vec",
+        solve_many(instances, solver="elpc-tensor",
                    objective=Objective.MIN_DELAY, runner=runner)  # warm-up
-        result = benchmark(solve_many, instances, solver="elpc-vec",
+        result = benchmark(solve_many, instances, solver="elpc-tensor",
                            objective=Objective.MIN_DELAY, runner=runner)
     assert result.n_solved == len(instances)
     assert result.workers == 2
@@ -110,16 +110,16 @@ def test_parallel_batch_solve(benchmark, speedup_result):
 
 @pytest.mark.benchmark(group="parallel-batch")
 def test_sequential_reference_baseline(benchmark):
-    """The sequential elpc-vec wall time at B=256, for the records."""
+    """The sequential elpc-tensor wall time at B=256, for the records."""
     instances = _batch_instances()
-    solve_many(instances, solver="elpc-vec", objective=Objective.MIN_DELAY)
-    result = benchmark(solve_many, instances, solver="elpc-vec",
+    solve_many(instances, solver="elpc-tensor", objective=Objective.MIN_DELAY)
+    result = benchmark(solve_many, instances, solver="elpc-tensor",
                        objective=Objective.MIN_DELAY)
     assert result.n_solved == len(instances)
 
 
 def test_engines_bit_identical_under_workers():
-    """All three ELPC engines: workers=4 values/errors match workers=1."""
+    """Both ELPC engines: workers=4 values/errors match workers=1."""
     instances = _batch_instances()
     for solver in _ENGINES:
         sequential = solve_many(instances, solver=solver,

@@ -70,7 +70,7 @@ def _fresh_cluster(network):
 def _blind_sequential(instances, cluster):
     """The baseline: uncontended per-pipeline optima, admitted first-come
     first-served while they still fit — no mapping ever adapts."""
-    direct = solve_many(instances, solver="elpc-vec",
+    direct = solve_many(instances, solver="elpc-tensor",
                         objective=Objective.MIN_DELAY)
     admitted = []
     for item in direct.items:

@@ -1,12 +1,12 @@
-"""Benchmark: speedup of the vectorized ELPC engine over the scalar reference.
+"""Benchmark: speedup of the tensor ELPC engine over the scalar reference.
 
-The vectorized solvers do the same :math:`O(n k^2)` work as the scalar
-dynamic programs but move every column update from Python-level dict/neighbor
-iteration into a handful of dense NumPy passes.  This file records the
-speedup ratio across problem sizes and asserts the PR's acceptance bar: at
-``k >= 50`` network nodes the vectorized min-delay DP must be at least 3x
-faster than the scalar one (in practice it lands around 10x and grows with
-``k``).
+The tensor engine, run one instance at a time (``elpc-tensor``), does the
+same DP work as the scalar dynamic programs but moves every stage update from
+Python-level dict/neighbor iteration into a handful of NumPy passes over the
+CSR edge arrays.  This file records the speedup ratio across problem sizes
+and asserts the acceptance bar: at ``k >= 50`` network nodes the tensor
+min-delay DP must be at least 3x faster than the scalar one (in practice it
+lands above 10x and grows with ``k``).
 
 The per-solver wall times are measured through the same
 :func:`repro.analysis.experiments.vectorized_speedup` driver the
@@ -21,7 +21,7 @@ import os
 import pytest
 
 from repro.analysis import vectorized_speedup
-from repro.core import elpc_min_delay, elpc_min_delay_vec
+from repro.core import elpc_min_delay, elpc_min_delay_tensor
 from repro.generators import random_network, random_pipeline, random_request
 
 #: (modules, nodes, links) sweep; everything from index 1 on has k >= 50.
@@ -40,8 +40,8 @@ def test_vectorized_speedup_at_scale(benchmark, speedup_result):
     pipeline = random_pipeline(20, seed=23)
     network = random_network(60, 240, seed=23)
     request = random_request(network, seed=23, min_hop_distance=2)
-    elpc_min_delay_vec(pipeline, network, request)  # warm the dense view
-    benchmark(elpc_min_delay_vec, pipeline, network, request)
+    elpc_min_delay_tensor(pipeline, network, request)  # warm the dense view
+    benchmark(elpc_min_delay_tensor, pipeline, network, request)
 
     delay_speedups = speedup_result.delay_speedups()
     framerate_speedups = speedup_result.framerate_speedups()
@@ -50,7 +50,7 @@ def test_vectorized_speedup_at_scale(benchmark, speedup_result):
     benchmark.extra_info["framerate_speedups"] = [round(x, 2)
                                                   for x in framerate_speedups]
     benchmark.extra_info["scalar_delay_s"] = speedup_result.scalar.delay_runtimes_s
-    benchmark.extra_info["vec_delay_s"] = speedup_result.vectorized.delay_runtimes_s
+    benchmark.extra_info["tensor_delay_s"] = speedup_result.tensor.delay_runtimes_s
 
     # Wall-clock ratios on shared CI runners carry noise; the measured margin
     # is ~3x the floor, but REPRO_SKIP_SPEEDUP_ASSERT=1 lets a throttled
@@ -61,14 +61,14 @@ def test_vectorized_speedup_at_scale(benchmark, speedup_result):
     for (m, k, l), ratio in zip(speedup_result.sizes, delay_speedups):
         if k >= 50:
             assert ratio >= 3.0, (
-                f"vectorized min-delay DP only {ratio:.1f}x faster than scalar "
+                f"tensor min-delay DP only {ratio:.1f}x faster than scalar "
                 f"at size (modules={m}, nodes={k}, links={l}); expected >= 3x")
-    # The frame-rate DP vectorizes the same way; hold it to a softer floor
+    # The frame-rate DP runs on the same engine; hold it to a softer floor
     # (its scalar loop does less per-edge work, so the ratio is smaller).
     for (m, k, l), ratio in zip(speedup_result.sizes, framerate_speedups):
         if k >= 50:
             assert ratio >= 1.5, (
-                f"vectorized frame-rate DP only {ratio:.1f}x faster at "
+                f"tensor frame-rate DP only {ratio:.1f}x faster at "
                 f"(modules={m}, nodes={k}, links={l}); expected >= 1.5x")
 
 
@@ -90,6 +90,6 @@ def test_engines_agree_at_benchmark_sizes(speedup_result):
     for instance in instances:
         scalar = elpc_min_delay(instance.pipeline, instance.network,
                                 instance.request)
-        vec = elpc_min_delay_vec(instance.pipeline, instance.network,
-                                 instance.request)
-        assert vec.delay_ms == pytest.approx(scalar.delay_ms, rel=1e-12)
+        tensor = elpc_min_delay_tensor(instance.pipeline, instance.network,
+                                       instance.request)
+        assert tensor.delay_ms == scalar.delay_ms

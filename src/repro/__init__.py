@@ -7,11 +7,10 @@ Public API highlights
   :class:`repro.EndToEndRequest` — problem entities,
 * :func:`repro.elpc_min_delay`, :func:`repro.elpc_max_frame_rate` — the ELPC
   algorithms (the paper's contribution),
-* :func:`repro.elpc_min_delay_vec`, :func:`repro.elpc_max_frame_rate_vec` —
-  vectorized NumPy engines returning identical results (``"elpc-vec"``),
 * :func:`repro.elpc_min_delay_many`, :func:`repro.elpc_max_frame_rate_many` —
-  tensor batch engines solving many pipelines over one network in stacked
-  array passes (``"elpc-tensor"``), again bit-identical,
+  the NumPy tensor engine solving one or many pipelines over one network in
+  stacked array passes (``"elpc-tensor"``, the default engine), bit-identical
+  to the ELPC algorithms above,
 * :func:`repro.solve_many` — batch API to run one solver over many instances,
   optionally across worker processes; ``solver="elpc-tensor"`` groups the
   batch by network and solves each group in one tensor call,
@@ -47,11 +46,9 @@ from .core import (
     elpc_max_frame_rate,
     elpc_max_frame_rate_many,
     elpc_max_frame_rate_tensor,
-    elpc_max_frame_rate_vec,
     elpc_min_delay,
     elpc_min_delay_many,
     elpc_min_delay_tensor,
-    elpc_min_delay_vec,
     exhaustive_max_frame_rate,
     exhaustive_min_delay,
     get_solver,
@@ -108,7 +105,6 @@ __all__ = [
     "end_to_end_delay_ms", "bottleneck_time_ms", "frame_rate_fps",
     # algorithms
     "elpc_min_delay", "elpc_max_frame_rate",
-    "elpc_min_delay_vec", "elpc_max_frame_rate_vec",
     "elpc_min_delay_many", "elpc_max_frame_rate_many",
     "elpc_min_delay_tensor", "elpc_max_frame_rate_tensor",
     "exhaustive_min_delay", "exhaustive_max_frame_rate",

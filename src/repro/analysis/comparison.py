@@ -28,10 +28,10 @@ __all__ = ["ComparisonRun", "run_case", "run_comparison", "DEFAULT_ALGORITHMS",
 #: The three algorithms the paper compares (order matters for the table columns).
 DEFAULT_ALGORITHMS: Tuple[str, ...] = ("elpc", "streamline", "greedy")
 
-#: The three interchangeable ELPC engines (scalar reference first); they must
+#: The two interchangeable ELPC engines (scalar reference first); they must
 #: agree bit for bit on every instance, which ``repro bench`` and the CI gate
 #: verify through :func:`check_solver_agreement`.
-ELPC_ENGINES: Tuple[str, ...] = ("elpc", "elpc-vec", "elpc-tensor")
+ELPC_ENGINES: Tuple[str, ...] = ("elpc", "elpc-tensor")
 
 
 @dataclass

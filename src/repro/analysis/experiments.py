@@ -109,41 +109,42 @@ class RuntimeScalingResult:
 
 @dataclass
 class VectorizedSpeedupResult:
-    """Scalar-vs-vectorized ELPC runtime comparison across problem sizes.
+    """Scalar-vs-tensor ELPC runtime comparison across problem sizes.
 
-    ``speedup = scalar_runtime / vectorized_runtime`` per size, for the
-    min-delay DP and the max-frame-rate DP separately.  Produced by
-    :func:`vectorized_speedup`; asserted on by
+    ``speedup = scalar_runtime / tensor_runtime`` per size, where the
+    ``tensor`` pass is the ``elpc-tensor`` engine solving one instance at a
+    time, for the min-delay DP and the max-frame-rate DP separately.
+    Produced by :func:`vectorized_speedup`; asserted on by
     ``benchmarks/test_bench_vectorized_speedup.py`` and printed by
     ``repro bench-scaling``.
     """
 
     sizes: List[Tuple[int, int, int]]          # (modules, nodes, links)
     scalar: RuntimeScalingResult
-    vectorized: RuntimeScalingResult
+    tensor: RuntimeScalingResult
 
     def delay_speedups(self) -> List[float]:
-        """Per-size scalar/vectorized runtime ratio of the min-delay DP."""
+        """Per-size scalar/tensor runtime ratio of the min-delay DP."""
         return [s / v for s, v in zip(self.scalar.delay_runtimes_s,
-                                      self.vectorized.delay_runtimes_s)]
+                                      self.tensor.delay_runtimes_s)]
 
     def framerate_speedups(self) -> List[float]:
-        """Per-size scalar/vectorized runtime ratio of the frame-rate DP."""
+        """Per-size scalar/tensor runtime ratio of the frame-rate DP."""
         return [s / v for s, v in zip(self.scalar.framerate_runtimes_s,
-                                      self.vectorized.framerate_runtimes_s)]
+                                      self.tensor.framerate_runtimes_s)]
 
     def table_text(self) -> str:
         """Human-readable per-size runtime/speedup table."""
         header = (f"{'modules':>8} {'nodes':>6} {'links':>6} "
-                  f"{'delay elpc':>12} {'delay vec':>12} {'x':>6} "
-                  f"{'rate elpc':>12} {'rate vec':>12} {'x':>6}")
-        lines = ["Vectorized ELPC engine speedup (best-of-run seconds)",
+                  f"{'delay elpc':>12} {'delay tensor':>12} {'x':>6} "
+                  f"{'rate elpc':>12} {'rate tensor':>12} {'x':>6}")
+        lines = ["elpc-tensor speedup over scalar elpc (best-of-run seconds)",
                  header, "-" * len(header)]
         for (m, n, l), sd, vd, xd, sf, vf, xf in zip(
                 self.sizes, self.scalar.delay_runtimes_s,
-                self.vectorized.delay_runtimes_s, self.delay_speedups(),
+                self.tensor.delay_runtimes_s, self.delay_speedups(),
                 self.scalar.framerate_runtimes_s,
-                self.vectorized.framerate_runtimes_s, self.framerate_speedups()):
+                self.tensor.framerate_runtimes_s, self.framerate_speedups()):
             lines.append(f"{m:>8} {n:>6} {l:>6} "
                          f"{sd:>12.6f} {vd:>12.6f} {xd:>6.1f} "
                          f"{sf:>12.6f} {vf:>12.6f} {xf:>6.1f}")
@@ -156,11 +157,11 @@ class TensorBatchSpeedupResult:
 
     For each batch size ``B`` the same ``B`` instances (random pipelines and
     requests over a single shared network) are solved twice through
-    :func:`repro.core.batch.solve_many` — once looping the vectorized
-    per-instance engine, once through the tensor engine's grouped dispatch —
-    and the wall times are paired up.  ``value_mismatches`` counts instances
-    on which the two paths disagreed (always 0: the engines are bit-identical,
-    and ``benchmarks/test_bench_tensor_batch.py`` asserts it).
+    :func:`repro.core.batch.solve_many` — once looped, one
+    ``solve_many([instance])`` call per item, once as one grouped call — and
+    the wall times are paired up.  Both passes run the ``elpc-tensor`` engine.
+    ``value_mismatches`` counts instances on which the two paths disagreed
+    (always 0, and ``benchmarks/test_bench_tensor_batch.py`` asserts it).
     """
 
     batch_sizes: List[int]
@@ -169,8 +170,6 @@ class TensorBatchSpeedupResult:
     n_links: int
     looped_s: List[float]
     tensor_s: List[float]
-    looped_solver: str = "elpc-vec"
-    tensor_solver: str = "elpc-tensor"
     value_mismatches: int = 0
 
     def speedups(self) -> List[float]:
@@ -180,9 +179,9 @@ class TensorBatchSpeedupResult:
     def table_text(self) -> str:
         """Human-readable per-batch-size throughput table."""
         header = (f"{'batch':>6} {'modules':>8} {'nodes':>6} {'links':>6} "
-                  f"{'looped vec':>12} {'tensor':>12} {'x':>6}")
-        lines = [("Tensor batch engine speedup over looped "
-                  f"{self.looped_solver} (best-of-run seconds)"),
+                  f"{'looped':>12} {'tensor':>12} {'x':>6}")
+        lines = [("Tensor batch engine speedup over one solve per item "
+                  "(best-of-run seconds)"),
                  header, "-" * len(header)]
         for B, looped, tensor, ratio in zip(self.batch_sizes, self.looped_s,
                                             self.tensor_s, self.speedups()):
@@ -206,22 +205,20 @@ def tensor_batch_speedup(*, batch_sizes: Sequence[int] = (8, 32, 64),
                          n_links: int = 96, seed: int = 11,
                          repetitions: int = 1,
                          objective: Objective = Objective.MIN_DELAY,
-                         looped_solver: str = "elpc-vec",
-                         tensor_solver: str = "elpc-tensor",
                          workers: Optional[int] = None
                          ) -> TensorBatchSpeedupResult:
     """Measure the tensor engine's batched-throughput win over a per-item loop.
 
     One network of ``k_nodes`` / ``n_links`` is shared by ``max(batch_sizes)``
     random pipeline/request instances; for each requested batch size the first
-    ``B`` instances are solved through both engines (best wall time of
+    ``B`` instances are solved through both paths (best wall time of
     ``repetitions`` passes each).  Both passes run warm — the dense view and
     its CSR edge layout are built once, exactly as in a sweep campaign — and
     every produced objective value is cross-checked so the timing claim can
     never drift away from the equivalence claim.  ``workers=N`` runs both
     engines on a persistent :class:`~repro.core.parallel.ParallelBatchRunner`
     (the pool and the shared-memory network export are set up outside the
-    timed region); the tensor path then runs one grouped solve per worker
+    timed region); the batched path then runs one grouped solve per worker
     chunk.
     """
     batch_sizes = sorted(int(b) for b in batch_sizes)
@@ -246,19 +243,22 @@ def tensor_batch_speedup(*, batch_sizes: Sequence[int] = (8, 32, 64),
         if runner is not None:
             # Warm the pool and the shared-memory export outside the timed
             # region.
-            solve_many(instances[:2], solver=looped_solver,
+            solve_many(instances[:2], solver="elpc-tensor",
                        objective=objective, runner=runner)
         for B in batch_sizes:
             sub = instances[:B]
             best_looped = best_tensor = float("inf")
             for _ in range(max(repetitions, 1)):
-                looped = solve_many(sub, solver=looped_solver,
+                looped = [solve_many([instance], solver="elpc-tensor",
+                                     objective=objective, runner=runner)
+                          for instance in sub]
+                tensor = solve_many(sub, solver="elpc-tensor",
                                     objective=objective, runner=runner)
-                tensor = solve_many(sub, solver=tensor_solver,
-                                    objective=objective, runner=runner)
-                best_looped = min(best_looped, looped.wall_time_s)
+                best_looped = min(best_looped,
+                                  sum(run.wall_time_s for run in looped))
                 best_tensor = min(best_tensor, tensor.wall_time_s)
-                for a, b in zip(looped.values(), tensor.values()):
+                looped_values = [v for run in looped for v in run.values()]
+                for a, b in zip(looped_values, tensor.values()):
                     if a != b:
                         mismatches += 1
             looped_s.append(best_looped)
@@ -266,7 +266,6 @@ def tensor_batch_speedup(*, batch_sizes: Sequence[int] = (8, 32, 64),
     return TensorBatchSpeedupResult(
         batch_sizes=list(batch_sizes), n_modules=n_modules, k_nodes=k_nodes,
         n_links=n_links, looped_s=looped_s, tensor_s=tensor_s,
-        looped_solver=looped_solver, tensor_solver=tensor_solver,
         value_mismatches=mismatches)
 
 
@@ -280,7 +279,7 @@ class ParallelBatchSpeedupResult:
     and every parallel run's values are cross-checked against it
     (``value_mismatches`` stays 0: the shared-memory workers are
     bit-identical by construction, and
-    ``benchmarks/test_bench_parallel_batch.py`` asserts it for all three ELPC
+    ``benchmarks/test_bench_parallel_batch.py`` asserts it for both ELPC
     engines).
     """
 
@@ -291,7 +290,7 @@ class ParallelBatchSpeedupResult:
     n_links: int
     n_networks: int
     wall_s: List[float]
-    solver: str = "elpc-vec"
+    solver: str = "elpc-tensor"
     value_mismatches: int = 0
 
     def speedups(self) -> List[float]:
@@ -328,7 +327,7 @@ def parallel_batch_speedup(*, worker_counts: Sequence[int] = (1, 2, 4),
                            n_networks: int = 8, seed: int = 23,
                            repetitions: int = 1,
                            objective: Objective = Objective.MIN_DELAY,
-                           solver: str = "elpc-vec"
+                           solver: str = "elpc-tensor"
                            ) -> ParallelBatchSpeedupResult:
     """Measure how a small-instance batch scales with worker processes.
 
@@ -492,9 +491,9 @@ def runtime_scaling(*, sizes: Optional[Sequence[Tuple[int, int, int]]] = None,
     ``sizes`` is a sequence of (modules, nodes, links) triples; the default
     sweep spans two orders of magnitude of n·|E| work.  The sweep runs through
     the batch engine (:func:`repro.core.batch.solve_many`): ``solver`` picks
-    any registered algorithm pair by name (``"elpc"`` measures the scalar
-    reference, ``"elpc-vec"`` the vectorized engine) and ``workers`` optionally
-    spreads each pass over worker processes.  Per-size runtime is the best of
+    any registered algorithm pair by name (``"elpc"``, the default, measures
+    the scalar reference, ``"elpc-tensor"`` the tensor engine) and
+    ``workers`` optionally spreads each pass over worker processes.  Per-size runtime is the best of
     ``repetitions`` passes.  Infeasible frame-rate instances still contribute
     their (failed) solve time, as the paper's scaling study counts algorithm
     work, not solution quality.
@@ -529,28 +528,26 @@ def runtime_scaling(*, sizes: Optional[Sequence[Tuple[int, int, int]]] = None,
 
 def vectorized_speedup(*, sizes: Optional[Sequence[Tuple[int, int, int]]] = None,
                        seed: int = 7, repetitions: int = 1,
-                       scalar_solver: str = "elpc",
-                       vectorized_solver: str = "elpc-vec",
                        workers: Optional[int] = None) -> VectorizedSpeedupResult:
-    """Measure the vectorized engine's speedup over the scalar reference DP.
+    """Measure the ``elpc-tensor`` engine's speedup over the scalar ``elpc`` DP.
 
     Runs :func:`runtime_scaling` twice over the *same* instances (same seed)
-    — once with the scalar solver, once with the vectorized one — and pairs
-    the runtimes up.  The vectorized pass is warmed by the scalar pass's dense
-    view only through the per-network cache, so the first vectorized solve
-    still pays the one-off O(k²) view construction, exactly what a cold
-    production solve would.  ``workers=N`` fans both passes out over the
+    — once with the scalar solver, once with the tensor engine, one instance
+    per call — and pairs the runtimes up.  The tensor pass is warmed by the
+    scalar pass's dense view only through the per-network cache, so its
+    first solve still pays the one-off O(k²) view construction, exactly what
+    a cold production solve would.  ``workers=N`` fans both passes out over the
     shared-memory pool; per-size runtimes are still per-item solver times, so
     the speedup pairing stays meaningful under parallelism.
     """
     if sizes is None:
         sizes = [(10, 30, 90), (20, 60, 240), (30, 120, 600), (40, 250, 1200)]
     scalar = runtime_scaling(sizes=sizes, seed=seed, repetitions=repetitions,
-                             solver=scalar_solver, workers=workers)
-    vectorized = runtime_scaling(sizes=sizes, seed=seed, repetitions=repetitions,
-                                 solver=vectorized_solver, workers=workers)
+                             solver="elpc", workers=workers)
+    tensor = runtime_scaling(sizes=sizes, seed=seed, repetitions=repetitions,
+                             solver="elpc-tensor", workers=workers)
     return VectorizedSpeedupResult(sizes=[tuple(s) for s in sizes],
-                                   scalar=scalar, vectorized=vectorized)
+                                   scalar=scalar, tensor=tensor)
 
 
 # --------------------------------------------------------------------------- #

@@ -7,9 +7,9 @@ Three entry points are installed with the package:
   ``repro solve --solver elpc-tensor --case 3``), ``repro bench`` (regenerate
   the paper's evaluation artifacts, cross-check the ELPC engines and
   optionally ``--emit-json`` a machine-readable summary), ``repro
-  bench-scaling`` (scalar-vs-vectorized runtime scaling table), ``repro
-  bench-batch`` (looped-vs-tensor batched throughput table), ``repro
-  serve`` (the keep-alive continuous-batching solve service of
+  bench-scaling`` (scalar ``elpc`` vs ``elpc-tensor`` runtime scaling
+  table), ``repro bench-batch`` (looped-vs-batched tensor throughput
+  table), ``repro serve`` (the keep-alive continuous-batching solve service of
   :mod:`repro.service` on a host/port, graceful drain on SIGINT/SIGTERM,
   optional ``--admission-control`` capacity gating), ``repro loadtest``
   (N concurrent closed-loop clients against a running server: p50/p99
@@ -24,7 +24,7 @@ Three entry points are installed with the package:
 
 All of them are thin wrappers over the library API so everything they do is
 also available programmatically.  ``repro bench`` exits with status 3 when
-the interchangeable ELPC engines (``elpc`` / ``elpc-vec`` / ``elpc-tensor``)
+the two ELPC engines (the scalar ``elpc`` oracle and ``elpc-tensor``)
 disagree on any suite case — the same verdict the CI benchmark gate archives
 — so scripted pipelines cannot silently publish numbers from diverging
 solvers.
@@ -197,8 +197,8 @@ def _build_bench_parser() -> argparse.ArgumentParser:
                              "agreement + timings) in the repro-bench/1 "
                              "schema shared with benchmarks/check_regression.py")
     parser.add_argument("--skip-agreement", action="store_true",
-                        help="skip the elpc / elpc-vec / elpc-tensor "
-                             "cross-check (agreement failures exit 3)")
+                        help="skip the elpc / elpc-tensor cross-check "
+                             "(agreement failures exit 3)")
     parser.add_argument("--workers", type=int, default=None,
                         help="run the engine cross-check over N worker "
                              "processes (shared-memory pool; results must "
@@ -281,7 +281,8 @@ def _build_bench_scaling_parser(prog: str = "repro bench-scaling"
                                 ) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
-        description="Compare scalar vs vectorized ELPC runtimes across problem sizes.")
+        description="Compare scalar elpc vs elpc-tensor runtimes across "
+                    "problem sizes.")
     parser.add_argument("--sizes", type=str, default=None,
                         help="comma-separated modules:nodes:links triples "
                              "(default: a sweep up to 250 nodes)")
@@ -289,10 +290,6 @@ def _build_bench_scaling_parser(prog: str = "repro bench-scaling"
                         help="seed of the random instance per size")
     parser.add_argument("--repetitions", "-r", type=int, default=1,
                         help="measure best-of-N passes per solver")
-    parser.add_argument("--scalar", default="elpc",
-                        help="reference solver name (default: elpc)")
-    parser.add_argument("--vectorized", default="elpc-vec",
-                        help="vectorized solver name (default: elpc-vec)")
     parser.add_argument("--workers", type=int, default=None,
                         help="fan both passes out over N worker processes "
                              "(shared-memory pool; default: in-process)")
@@ -308,8 +305,6 @@ def main_bench_scaling(argv: Optional[Sequence[str]] = None, *,
         sizes = _parse_sizes(args.sizes) if args.sizes else None
         result = vectorized_speedup(sizes=sizes, seed=args.seed,
                                     repetitions=args.repetitions,
-                                    scalar_solver=args.scalar,
-                                    vectorized_solver=args.vectorized,
                                     workers=args.workers)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -322,8 +317,8 @@ def _build_bench_batch_parser(prog: str = "repro bench-batch"
                               ) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
-        description="Compare looped elpc-vec vs the elpc-tensor batch engine "
-                    "for many pipelines over one shared network.")
+        description="Compare one elpc-tensor solve per item vs one batched "
+                    "call for many pipelines over one shared network.")
     parser.add_argument("--batch-sizes", type=str, default="8,32,64",
                         help="comma-separated batch sizes (default: 8,32,64)")
     parser.add_argument("--modules", type=int, default=40,
@@ -671,9 +666,9 @@ def _build_place_parser(prog: str = "repro place") -> argparse.ArgumentParser:
                         help="placement strategy: place-greedy (sequential "
                              "capacity-aware packing) or place-flow (joint "
                              "min-cost max-flow; see --list-placers)")
-    parser.add_argument("--engine", default="elpc-vec",
+    parser.add_argument("--engine", default="elpc-tensor",
                         help="per-pipeline solver run on the residual "
-                             "cluster (default: elpc-vec)")
+                             "cluster (default: elpc-tensor)")
     parser.add_argument("--objective", choices=["delay", "framerate"],
                         default="delay", help="optimisation objective")
     parser.add_argument("--count", type=int, default=12,
@@ -784,10 +779,10 @@ def _build_churn_parser(prog: str = "repro churn") -> argparse.ArgumentParser:
     parser.add_argument("--amplitude", type=float, default=0.4,
                         help="drift amplitude: edited values are original * "
                              "U[1-a, 1+a] (default: 0.4)")
-    parser.add_argument("--solver", default="elpc-vec",
+    parser.add_argument("--solver", default="elpc-tensor",
                         help="ELPC engine to re-plan with (default: "
-                             "elpc-vec; must be elpc, elpc-vec or "
-                             "elpc-tensor for warm starts)")
+                             "elpc-tensor; must be elpc or elpc-tensor "
+                             "for warm starts)")
     parser.add_argument("--objective", choices=["delay", "framerate"],
                         default="delay", help="optimisation objective")
     parser.add_argument("--seed", type=int, default=5,
@@ -858,7 +853,7 @@ _SUBCOMMANDS = {
     "solve": "map a pipeline onto a network (alias: map)",
     "map": "alias of solve",
     "bench": "regenerate the paper's evaluation artifacts (+engine agreement)",
-    "bench-scaling": "scalar vs vectorized runtime scaling table",
+    "bench-scaling": "scalar vs tensor runtime scaling table",
     "bench-batch": "looped vs tensor batched-throughput table",
     "serve": "HTTP solve service with keep-alive continuous batching",
     "loadtest": "closed-loop load harness against a running repro serve",

@@ -4,13 +4,11 @@
   delay with node reuse (interactive applications).
 * :func:`elpc_max_frame_rate` — dynamic-programming heuristic for maximum
   frame rate without node reuse (streaming applications).
-* :mod:`repro.core.vectorized` — dense NumPy engines for both DPs
-  (:func:`elpc_min_delay_vec` / :func:`elpc_max_frame_rate_vec`, registered as
-  ``"elpc-vec"``), differentially tested against the scalar references.
-* :mod:`repro.core.tensor` — the batched engines
+* :mod:`repro.core.tensor` — the NumPy engine for both DPs
   (:func:`elpc_min_delay_many` / :func:`elpc_max_frame_rate_many`, registered
-  as ``"elpc-tensor"``) that advance many pipelines' DPs over one network in
-  stacked array passes, bit-identical to the scalar and vectorized solvers.
+  as ``"elpc-tensor"``) that advances one or many pipelines' DPs over one
+  network in stacked array passes, bit-identical to the scalar references
+  (which stay as the test oracle).
 * :mod:`repro.core.batch` — :func:`solve_many`, the batch API behind the
   experiment sweeps and the CLI; same-network groups of an ``"elpc-tensor"``
   batch run through the tensor engine in one call per group, sequentially and
@@ -66,13 +64,11 @@ from .tensor import (
     elpc_min_delay_many,
     elpc_min_delay_tensor,
 )
-from .vectorized import elpc_max_frame_rate_vec, elpc_min_delay_vec
 from .warm import WarmState, elpc_max_frame_rate_warm, elpc_min_delay_warm
 
 __all__ = [
     "DPCell", "DPTable",
     "elpc_min_delay", "elpc_max_frame_rate",
-    "elpc_min_delay_vec", "elpc_max_frame_rate_vec",
     "WarmState", "elpc_min_delay_warm", "elpc_max_frame_rate_warm",
     "elpc_min_delay_many", "elpc_max_frame_rate_many",
     "elpc_min_delay_tensor", "elpc_max_frame_rate_tensor",

@@ -89,9 +89,9 @@ __all__ = ["BatchItemResult", "BatchRunResult", "SolveOptions", "solve_many",
 TENSOR_SOLVERS = frozenset({"elpc-tensor"})
 
 #: Solver names whose batches may be warm-started (``warm_start=`` /
-#: ``prior=``).  The three ELPC engines are bit-identical to each other, so
-#: the warm engine (:mod:`repro.core.warm`) can substitute for any of them.
-WARM_SOLVERS = frozenset({"elpc", "elpc-vec", "elpc-tensor"})
+#: ``prior=``).  The two ELPC engines are bit-identical to each other, so
+#: the warm engine (:mod:`repro.core.warm`) can substitute for either.
+WARM_SOLVERS = frozenset({"elpc", "elpc-tensor"})
 
 #: Anything solve_many accepts as one problem instance.
 InstanceLike = Union[ProblemInstance,
@@ -107,7 +107,7 @@ class SolveOptions:
     :class:`repro.service.SolveService`, and the CLI helpers — accepts an
     ``options=SolveOptions(...)`` argument.  Every field defaults to ``None``
     meaning *unspecified*: the consumer's own default applies (``solver`` →
-    ``"elpc-vec"``, ``objective`` → :attr:`Objective.MIN_DELAY`, and so on),
+    ``"elpc-tensor"``, ``objective`` → :attr:`Objective.MIN_DELAY`, and so on),
     exactly as if the kwarg had not been passed.
 
     Legacy kwargs remain accepted everywhere and are **merged** with the
@@ -455,17 +455,16 @@ def _solve_warm(instances: List[ProblemInstance], objective: Objective,
     """Solve a batch through the warm engine, reusing a prior run's DP state.
 
     Instances are matched to ``prior`` positionally (the re-solve contract:
-    the same batch, drifted networks).  Per instance the warm engine decides
+    the same batch, drifted networks) and grouped by network object, one
+    batched warm call per group.  Per instance the warm engine decides
     whether to reuse the prior item verbatim (its network is bit-unchanged),
-    patch only the dirty DP columns (scalar drift), or cold-solve (first run,
+    patch only the dirty DP cells (scalar drift), or cold-solve (first run,
     structural edit, journal gap) — all three produce results bit-identical
     to a cold batch on the current networks.
     """
-    from .warm import elpc_max_frame_rate_warm, elpc_min_delay_warm
+    from .warm import _warm_many
 
-    solve = (elpc_min_delay_warm if objective is Objective.MIN_DELAY
-             else elpc_max_frame_rate_warm)
-    prior_states: Optional[List[Optional["WarmState"]]] = None
+    prior_states: List[Optional["WarmState"]] = [None] * len(instances)
     if prior is not None:
         if prior.warm_states is None:
             raise SpecificationError(
@@ -475,43 +474,46 @@ def _solve_warm(instances: List[ProblemInstance], objective: Objective,
             raise SpecificationError(
                 f"prior batch has {len(prior.items)} items but this batch "
                 f"has {len(instances)} — warm re-solves match positionally")
-        prior_states = prior.warm_states
-    items: List[BatchItemResult] = []
-    states: List[Optional["WarmState"]] = []
-    reused = resolved = 0
+        prior_states = list(prior.warm_states)
+    groups: dict = {}
     for index, instance in enumerate(instances):
-        state = prior_states[index] if prior_states is not None else None
+        groups.setdefault(id(instance.network), []).append(index)
+    items: List[Optional[BatchItemResult]] = [None] * len(instances)
+    states: List[Optional["WarmState"]] = [None] * len(instances)
+    reused = 0
+    for indices in groups.values():
         start = time.perf_counter()
+        error = tb = None
+        solved: Sequence = ()
         try:
-            mapping, new_state = solve(instance.pipeline, instance.network,
-                                       instance.request, prior=state,
-                                       **solver_kwargs)
+            solved = _warm_many(
+                objective, [instances[i].pipeline for i in indices],
+                instances[indices[0]].network,
+                [instances[i].request for i in indices],
+                [prior_states[i] for i in indices], **solver_kwargs)
         except ReproError as exc:
-            items.append(BatchItemResult(
-                index=index, name=instance.name, mapping=None, error=str(exc),
-                runtime_s=time.perf_counter() - start))
-            states.append(None)
-            resolved += 1
-            continue
+            error = str(exc)
         except Exception as exc:
             error, tb = _describe_unexpected(exc)
-            items.append(BatchItemResult(
-                index=index, name=instance.name, mapping=None, error=error,
-                runtime_s=time.perf_counter() - start, traceback=tb))
-            states.append(None)
-            resolved += 1
-            continue
-        if state is not None and new_state is state and prior is not None:
-            # Bit-unchanged network: the prior item still answers exactly.
-            items.append(prior.items[index])
-            reused += 1
-        else:
-            items.append(BatchItemResult(
-                index=index, name=instance.name, mapping=mapping, error=None,
-                runtime_s=time.perf_counter() - start))
-            resolved += 1
-        states.append(new_state)
-    return items, states, reused, resolved
+        per_item = (time.perf_counter() - start) / len(indices)
+        if error is not None:
+            solved = [(None, None)] * len(indices)
+        for i, (entry, state) in zip(indices, solved):
+            if state is not None and state is prior_states[i]:
+                # Bit-unchanged network: the prior item still answers exactly.
+                items[i] = prior.items[i]  # type: ignore[union-attr]
+                reused += 1
+            elif isinstance(entry, PipelineMapping):
+                items[i] = BatchItemResult(
+                    index=i, name=instances[i].name, mapping=entry,
+                    error=None, runtime_s=per_item)
+            else:
+                items[i] = BatchItemResult(
+                    index=i, name=instances[i].name, mapping=None,
+                    error=error if entry is None else str(entry),
+                    runtime_s=per_item, traceback=tb)
+            states[i] = state
+    return items, states, reused, len(instances) - reused  # type: ignore[return-value]
 
 
 def solve_many(instances: Iterable[InstanceLike], *,
@@ -536,10 +538,10 @@ def solve_many(instances: Iterable[InstanceLike], *,
         Knobs may come from the bundle, from the legacy keyword arguments,
         or both — a knob specified in both places must agree, otherwise
         :class:`SpecificationError` (a ``ValueError``) is raised.  Leaving
-        everything unset means the documented defaults (``solver="elpc-vec"``,
+        everything unset means the documented defaults (``solver="elpc-tensor"``,
         ``objective=Objective.MIN_DELAY``).
     solver:
-        Registry name (``"elpc"``, ``"elpc-vec"``, ``"elpc-tensor"``,
+        Registry name (``"elpc-tensor"``, ``"elpc"``,
         ``"greedy"``, ...) or a solver callable.  Multiprocessing requires a
         registry name.  ``"elpc-tensor"`` batches are grouped by network and
         each group is solved by one call of the tensor engine (see the module
@@ -588,7 +590,7 @@ def solve_many(instances: Iterable[InstanceLike], *,
                                 workers=workers,
                                 runner=runner, chunk_size=chunk_size,
                                 solver_kwargs=solver_kwargs)
-    solver = resolved.solver if resolved.solver is not None else "elpc-vec"
+    solver = resolved.solver if resolved.solver is not None else "elpc-tensor"
     objective = (resolved.objective if resolved.objective is not None
                  else Objective.MIN_DELAY)
     workers, runner = resolved.workers, resolved.runner
@@ -694,7 +696,7 @@ def place_many(requests: Iterable, *,
         below.
     engine:
         Per-pipeline solver the placer runs on the residual cluster
-        (default ``"elpc-vec"``).
+        (default ``"elpc-tensor"``).
     objective:
         Mapping objective, default :attr:`Objective.MIN_DELAY`.
     demand_fps:
@@ -743,7 +745,7 @@ def place_many(requests: Iterable, *,
             raise SpecificationError(
                 f"SolveOptions.{name} is not applicable to place_many "
                 "(placement runs in-process on one ledger)")
-    engine_name = resolved.solver if resolved.solver is not None else "elpc-vec"
+    engine_name = resolved.solver if resolved.solver is not None else "elpc-tensor"
     if not isinstance(engine_name, str):
         raise SpecificationError(
             "place_many needs the engine by registry name (placers look it "

@@ -27,8 +27,8 @@ produced the results.  This module is the fix, structured as a runtime:
 * **Input-order re-scatter, bit-identical results.**  Workers rebuild real
   :class:`TransportNetwork` objects around the attached views
   (:meth:`TransportNetwork.from_dense_view`), whose link attributes
-  round-trip the exported floats exactly, so every solver — scalar,
-  vectorized, tensor — produces results bit-identical to ``workers=1``.
+  round-trip the exported floats exactly, so every solver — scalar or
+  tensor — produces results bit-identical to ``workers=1``.
 
 :func:`repro.core.batch.solve_many` spins up a transient
 :class:`ParallelBatchRunner` per call; keep one open (it is a context

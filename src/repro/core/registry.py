@@ -89,13 +89,10 @@ def _import_and_register_builtins() -> None:
     from .elpc_framerate import elpc_max_frame_rate
     from .exact import exhaustive_max_frame_rate, exhaustive_min_delay
     from .tensor import elpc_max_frame_rate_tensor, elpc_min_delay_tensor
-    from .vectorized import elpc_max_frame_rate_vec, elpc_min_delay_vec
 
     pairs = [
         ("elpc", Objective.MIN_DELAY, elpc_min_delay),
         ("elpc", Objective.MAX_FRAME_RATE, elpc_max_frame_rate),
-        ("elpc-vec", Objective.MIN_DELAY, elpc_min_delay_vec),
-        ("elpc-vec", Objective.MAX_FRAME_RATE, elpc_max_frame_rate_vec),
         ("elpc-tensor", Objective.MIN_DELAY, elpc_min_delay_tensor),
         ("elpc-tensor", Objective.MAX_FRAME_RATE, elpc_max_frame_rate_tensor),
         ("elpc-reuse", Objective.MAX_FRAME_RATE, elpc_max_frame_rate_with_reuse),

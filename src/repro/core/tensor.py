@@ -1,4 +1,4 @@
-"""Tensor batch engine: the ELPC dynamic programs for *many* pipelines over
+"""Tensor engine: the ELPC dynamic programs for one or *many* pipelines over
 one shared network, solved in a single pass of stacked array operations.
 
 :func:`elpc_min_delay_many` and :func:`elpc_max_frame_rate_many` stack the DP
@@ -8,9 +8,11 @@ state arrays and advance every pipeline's DP one module stage per pass over
 the view's CSR edge layout — :math:`O(B\\,|E|)` entries per stage, reduced
 per destination node over a padded-slot layout that :func:`stage_view`
 caches per view.  Every floating-point operation runs element-wise in the
-same order as the scalar and vectorized solvers, so values, DP tables and
-backtracked assignments are **bit-identical** to both
-(``tests/test_tensor_equivalence.py``).  The min-delay stages run in-place
+same order as the scalar reference solvers, so values, DP tables and
+backtracked assignments are **bit-identical** to them
+(``tests/test_tensor_equivalence.py``).  Single solves are batches of one
+(``B = 1``), and the warm-start engine (:mod:`repro.core.warm`) takes its
+cold tables from the same stage sweeps.  The min-delay stages run in-place
 kernels on recycled scratch buffers; the frame-rate stages allocate per
 stage.  See ``docs/ARCHITECTURE.md`` for the
 engine layer map, the batch semantics shared with
@@ -40,8 +42,9 @@ from ..model.link import BITS_PER_BYTE
 from ..model.network import DenseNetworkView, EndToEndRequest, TransportNetwork
 from ..model.pipeline import Pipeline
 from ..model.validation import check_delay_instance, check_framerate_instance
+from ..types import NodeId
+from .dp_table import DPTable
 from .mapping import Objective, PipelineMapping, mapping_from_assignment
-from .vectorized import _as_dp_table, _backtrack
 
 __all__ = [
     "elpc_min_delay_many",
@@ -114,6 +117,36 @@ def _batched_feasibility(pipelines: Sequence[Pipeline],
     return alive
 
 
+def _backtrack(view: DenseNetworkView, pred: np.ndarray,
+               last_index: int) -> List[NodeId]:
+    """Follow the per-column predecessor-index arrays back to the base column."""
+    n = pred.shape[0]
+    assignment: List[NodeId] = [0] * n
+    idx = last_index
+    for j in range(n - 1, 0, -1):
+        assignment[j] = view.node_ids[idx]
+        idx = int(pred[j, idx])
+    assignment[0] = view.node_ids[idx]
+    return assignment
+
+
+def _as_dp_table(view: DenseNetworkView, values: np.ndarray, pred: np.ndarray,
+                 same: Optional[np.ndarray]) -> DPTable:
+    """Materialise one item's ``(n, k)`` arrays as a :class:`DPTable`.
+
+    ``same`` is ``None`` for the frame-rate DP, which never stays on a node.
+    """
+    n = values.shape[0]
+    table = DPTable(n_modules=n, node_ids=list(view.node_ids))
+    for j in range(n):
+        for i in np.flatnonzero(np.isfinite(values[j])):
+            predecessor = None if j == 0 else view.node_ids[int(pred[j, i])]
+            table.set(j, view.node_ids[int(i)], float(values[j, i]),
+                      predecessor=predecessor,
+                      same_node=same is not None and bool(same[j, i]))
+    return table
+
+
 def _stage_arrays(pipelines: Sequence[Pipeline], alive: Sequence[int],
                   n_max: int) -> tuple:
     """(n_max, A) workload and message-size arrays, zero-padded past each end."""
@@ -121,9 +154,10 @@ def _stage_arrays(pipelines: Sequence[Pipeline], alive: Sequence[int],
     workload = np.zeros((n_max, A))
     message = np.zeros((n_max, A))
     for a, i in enumerate(alive):
-        for j, module in enumerate(pipelines[i].modules):
-            workload[j, a] = module.complexity * module.input_bytes
-            message[j, a] = module.input_bytes
+        modules = pipelines[i].modules
+        workload[:len(modules), a] = [m.complexity * m.input_bytes
+                                      for m in modules]
+        message[:len(modules), a] = [m.input_bytes for m in modules]
     return workload, message
 
 
@@ -224,8 +258,8 @@ def segment_min(values: np.ndarray, staged: StagedView):
     ``values`` is ``(A, 2|E|)`` of candidate costs in the view's CSR edge
     order; returns ``(best, best_u)`` of shape ``(A, k)``.  ``best`` is
     ``inf`` (and ``best_u`` is 0) for nodes with no incoming edge or no
-    finite candidate, exactly matching what ``np.argmin`` over an
-    all-``inf`` column yields in the vectorized engine.
+    finite candidate, exactly what ``np.argmin`` over an all-``inf`` dense
+    column would yield.
 
     Candidates scatter into an inf-padded ``(A, k, max_deg)`` tensor whose
     contiguous min/argmin over the last axis is faster than
@@ -239,10 +273,12 @@ def segment_min(values: np.ndarray, staged: StagedView):
                 np.zeros((A, staged.k), dtype=np.int64))
     pad = np.full((A, staged.k * staged.max_deg), np.inf)
     pad[:, staged.flat_slot] = values
-    pad3 = pad.reshape(A, staged.k, staged.max_deg)
-    arg = np.argmin(pad3, axis=2)
-    best = np.take_along_axis(pad3, arg[:, :, None], axis=2)[:, :, 0]
-    best_u = np.take(staged.slot_to_u_flat, arg + staged.row_base[None, :])
+    # The winning slot's flat index gathers both its ``u`` and the minimum.
+    arg = np.argmin(pad.reshape(A, staged.k, staged.max_deg), axis=2)
+    arg += staged.row_base[None, :]
+    best_u = staged.slot_to_u_flat.take(arg)
+    arg += (np.arange(A) * pad.shape[1])[:, None]
+    best = pad.take(arg)
     best_u = np.where(np.isfinite(best), best_u, 0)
     return best, best_u
 
@@ -262,7 +298,9 @@ def _min_delay_stages(staged: StagedView, A: int, n_arr: np.ndarray,
     so recycling the storage (and taking the slice fast path while every
     pipeline is still running) removes a third of the batched DP's wall time
     without touching any arithmetic.  Returns the ``(values, pred, same)``
-    state arrays.
+    state arrays, with every unreachable (``inf``) cell carrying
+    ``pred = -1`` / ``same = False`` — the layout the scalar reference's
+    DP tables and the warm-start engine share.
     """
     k = staged.k
     n_max = int(n_arr.max())
@@ -342,10 +380,10 @@ def _min_delay_stages(staged: StagedView, A: int, n_arr: np.ndarray,
                 pad[:, flat_slot] = cost
                 pad3 = pad.reshape(A_j, k, max_deg)
                 # Slots are ordered by ascending u inside each node, so the
-                # first minimal slot is the lowest predecessor index —
-                # np.argmin's tie-break in the vectorized engine.  The minimum
-                # itself is gathered back from the winning slot (cheaper than
-                # a second 9-element-axis reduction).
+                # first minimal slot is the lowest predecessor index — the
+                # scalar solver's tie-break.  The minimum itself is gathered
+                # back from the winning slot (cheaper than a second
+                # 9-element-axis reduction).
                 np.argmin(pad3, axis=2, out=arg)
                 np.add(arg, row_base[None, :], out=arg)
                 slot_to_u_flat.take(arg, out=best_u)
@@ -373,7 +411,180 @@ def _min_delay_stages(staged: StagedView, A: int, n_arr: np.ndarray,
                 values[act, j] = col
                 pred[act, j] = pcol
                 same[act, j] = scol
+    # Unreachable cells carry pred = -1 / same = False; normalising once
+    # after the sweep replaces an isfinite pass per stage.  Cells beyond an
+    # item's own length are untouched inf/-1/False padding, so the same mask
+    # covers them too.
+    unreachable = ~np.isfinite(values)
+    pred[unreachable] = -1
+    same[unreachable] = False
     return values, pred, same
+
+
+# --------------------------------------------------------------------------- #
+# Frame-rate DP stage sweep
+# --------------------------------------------------------------------------- #
+def _framerate_stages(staged: StagedView, A: int, n_arr: np.ndarray,
+                      src: np.ndarray, dst: np.ndarray, workload: np.ndarray,
+                      message: np.ndarray, *,
+                      include_link_delay: bool) -> Tuple[np.ndarray,
+                                                         np.ndarray]:
+    """The frame-rate min-max sweep over the padded-slot segment minimum.
+
+    The per-pipeline visited-path guard is an ``(A, k, k)`` boolean tensor
+    gathered along each stage's chosen predecessors; while every pipeline is
+    still running it is read and replaced whole (no ``visited[act]`` copies),
+    the same slice path :func:`_min_delay_stages` takes.  Returns the
+    ``(values, pred)`` state arrays.
+    """
+    k = staged.k
+    n_max = int(n_arr.max())
+    n_min = int(n_arr.min())
+    arange_A = np.arange(A)
+    values = np.full((A, n_max, k), np.inf)
+    pred = np.full((A, n_max, k), -1, dtype=np.int64)
+    values[arange_A, 0, src] = 0.0
+    # visited[a, u, w]: node w lies on the partial path realising T^{j-1}(u).
+    visited = np.zeros((A, k, k), dtype=bool)
+    visited[arange_A, src, src] = True
+    # Flat (u, v) cell of every directed edge in a (k * k) visited row.
+    edge_uv = staged.edge_u * k + staged.edge_v
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(1, n_max):
+            if j < n_min:  # every pipeline still running: pure slice paths
+                act = slice(None)
+                vis = visited
+            else:
+                act = np.flatnonzero(n_arr > j)
+                if act.size == 0:
+                    break
+                vis = visited[act]
+            A_j = vis.shape[0]
+            compute = workload[j][act][:, None] / staged.power_ms[None, :]
+            trans = (message[j][act][:, None] * BITS_PER_BYTE
+                     / staged.edge_bandwidth_bits_per_s[None, :]) * 1e3
+            if include_link_delay:
+                trans = trans + staged.edge_link_delay[None, :]
+            prev = values[act, j - 1]
+            # Min-max update on edges: max(T_prev(u), compute(v), trans(u, v)).
+            cand = np.maximum(
+                np.maximum(np.take(prev, staged.edge_u, axis=1),
+                           np.take(compute, staged.edge_v, axis=1)), trans)
+            # Visited-path guard: u -> v is forbidden when v already lies on
+            # u's partial path (node reuse is not allowed in this variant).
+            cand[vis.reshape(A_j, k * k)[:, edge_uv]] = np.inf
+            # Intermediate modules never sit on the destination; pipelines of
+            # different lengths hit their last stage at different j.
+            dst_act = dst[act]
+            last = n_arr[act] - 1 == j
+            if not last.all():
+                cand[~last[:, None]
+                     & (staged.edge_v[None, :] == dst_act[:, None])] = np.inf
+            col, best_u = segment_min(cand, staged)
+            if last.any():
+                # Only the destination cell of an item's last column matters.
+                li = np.flatnonzero(last)
+                dst_vals = col[li, dst_act[li]]
+                col[li] = np.inf
+                col[li, dst_act[li]] = dst_vals
+            values[act, j] = col
+            pred[act, j] = np.where(np.isfinite(col), best_u, -1)
+            # Row v of item a's new guard is row best_u[a, v] of its old one:
+            # one contiguous row gather over the (A_j * k, k) stack.
+            rows_flat = (best_u + (np.arange(A_j) * k)[:, None]).ravel()
+            new_visited = vis.reshape(A_j * k, k).take(rows_flat, axis=0)
+            new_visited = new_visited.reshape(A_j, k, k)
+            new_visited[:, staged.rows, staged.rows] = True
+            if j < n_min:
+                visited = new_visited
+            else:
+                visited[act] = new_visited
+    return values, pred
+
+
+# --------------------------------------------------------------------------- #
+# Batched solves
+# --------------------------------------------------------------------------- #
+def _no_mapping_error(engine: str, objective: Objective,
+                      request: EndToEndRequest,
+                      n: int) -> InfeasibleMappingError:
+    """The error for a DP whose destination cell stayed unreachable."""
+    if objective is Objective.MAX_FRAME_RATE:
+        message = (f"{engine} (max frame rate) found no simple path with "
+                   f"exactly {n} nodes from {request.source} to "
+                   f"{request.destination}")
+    else:
+        message = (f"{engine} (min delay) found no feasible mapping reaching "
+                   "the destination")
+    return InfeasibleMappingError(message, source=request.source,
+                                  destination=request.destination,
+                                  n_modules=n)
+
+
+def _solve_batch(objective: Objective, pipelines: Sequence[Pipeline],
+                 network: TransportNetwork,
+                 requests: Union[EndToEndRequest, Sequence[EndToEndRequest]],
+                 *, include_link_delay: bool, keep_table: bool,
+                 view: Optional[DenseNetworkView]) -> List[BatchEntry]:
+    """Both ``*_many`` functions: feasibility, one stage sweep, backtracks."""
+    start = time.perf_counter()
+    framerate = objective is Objective.MAX_FRAME_RATE
+    pipelines = list(pipelines)
+    B = len(pipelines)
+    requests = _broadcast_requests(requests, B)
+    results: List[Optional[BatchEntry]] = [None] * B
+    if B == 0:
+        return []
+    alive = _batched_feasibility(pipelines, network, requests, results,
+                                 framerate=framerate, view=view)
+    if not alive:
+        return results  # type: ignore[return-value]
+
+    if view is None:
+        view = network.dense_view()
+    A = len(alive)
+    n_arr = np.array([pipelines[i].n_modules for i in alive])
+    src = np.array([view.index_of[requests[i].source] for i in alive])
+    dst = np.array([view.index_of[requests[i].destination] for i in alive])
+    workload, message = _stage_arrays(pipelines, alive, int(n_arr.max()))
+    same = None
+    if framerate:
+        values, pred = _framerate_stages(
+            stage_view(view), A, n_arr, src, dst, workload, message,
+            include_link_delay=include_link_delay)
+    else:
+        values, pred, same = _min_delay_stages(
+            stage_view(view), A, n_arr, src, workload, message,
+            include_link_delay=include_link_delay)
+    # Cells past an item's own length stay inf, so whole-row sums count
+    # exactly the item's finite cells.
+    finite_cells = np.isfinite(values).sum(axis=(1, 2))
+
+    per_item_runtime = (time.perf_counter() - start) / A
+    for a, i in enumerate(alive):
+        n = int(n_arr[a])
+        best = float(values[a, n - 1, dst[a]])
+        if not np.isfinite(best):
+            results[i] = _no_mapping_error("ELPC-tensor", objective,
+                                           requests[i], n)
+            continue
+        mapping = mapping_from_assignment(
+            pipelines[i], network, _backtrack(view, pred[a, :n], int(dst[a])),
+            objective=objective, algorithm="elpc-tensor",
+            runtime_s=per_item_runtime, allow_reuse=not framerate)
+        mapping.extras.update({
+            "dp_bottleneck_ms" if framerate else "dp_value_ms": best,
+            "dp_finite_cells": int(finite_cells[a]),
+            "include_link_delay": include_link_delay,
+            "tensor_batch": B,
+        })
+        if keep_table:
+            mapping.extras["dp_table"] = _as_dp_table(
+                view, values[a, :n], pred[a, :n],
+                None if same is None else same[a, :n])
+        results[i] = mapping
+    return results  # type: ignore[return-value]
 
 
 def elpc_min_delay_many(pipelines: Sequence[Pipeline],
@@ -385,7 +596,7 @@ def elpc_min_delay_many(pipelines: Sequence[Pipeline],
     """Batched exact minimum-delay mappings of many pipelines over one network.
 
     Solves the same problem as ``B`` calls of
-    :func:`repro.core.vectorized.elpc_min_delay_vec` — same optima, same
+    :func:`repro.core.elpc_delay.elpc_min_delay` — same optima, same
     feasibility verdicts, same tie-breaking, bit-identical DP tables — but
     advances all ``B`` dynamic programs together, one module stage per pass of
     CSR edge-array operations.  Pipelines of different lengths are supported;
@@ -401,7 +612,7 @@ def elpc_min_delay_many(pipelines: Sequence[Pipeline],
         One :class:`EndToEndRequest` per pipeline, or a single request shared
         by all of them.
     include_link_delay, keep_table:
-        As in the scalar and vectorized solvers; ``keep_table`` attaches each
+        As in the scalar solvers; ``keep_table`` attaches each
         item's :class:`~repro.core.dp_table.DPTable` under
         ``mapping.extras["dp_table"]``.
     view:
@@ -427,134 +638,9 @@ def elpc_min_delay_many(pipelines: Sequence[Pipeline],
         endpoint nodes).  Nothing is raised per item — one pathological
         instance must not abort the batch.
     """
-    start = time.perf_counter()
-    pipelines = list(pipelines)
-    B = len(pipelines)
-    requests = _broadcast_requests(requests, B)
-    results: List[Optional[BatchEntry]] = [None] * B
-    if B == 0:
-        return []
-    alive = _batched_feasibility(pipelines, network, requests, results,
-                                 framerate=False, view=view)
-    if not alive:
-        return results  # type: ignore[return-value]
-
-    if view is None:
-        view = network.dense_view()
-    A = len(alive)
-    n_arr = np.array([pipelines[i].n_modules for i in alive])
-    src = np.array([view.index_of[requests[i].source] for i in alive])
-    dst = np.array([view.index_of[requests[i].destination] for i in alive])
-    workload, message = _stage_arrays(pipelines, alive, int(n_arr.max()))
-    values, pred, same = _min_delay_stages(
-        stage_view(view), A, n_arr, src, workload, message,
-        include_link_delay=include_link_delay)
-
-    # Unreachable cells (inf value) carry pred = -1 / same = False in the
-    # scalar and vectorized tables; normalising once after the sweep replaces
-    # an isfinite pass per stage.  Cells beyond an item's own length are
-    # untouched inf/-1/False padding, so the same mask covers them too.
-    reachable = np.isfinite(values)
-    pred[~reachable] = -1
-    same[~reachable] = False
-    finite_cells = reachable.sum(axis=(1, 2))
-
-    dp_elapsed = time.perf_counter() - start
-    per_item_runtime = dp_elapsed / A
-    for a, i in enumerate(alive):
-        n = int(n_arr[a])
-        best = float(values[a, n - 1, dst[a]])
-        if not np.isfinite(best):
-            results[i] = InfeasibleMappingError(
-                "ELPC-tensor (min delay) found no feasible mapping reaching "
-                "the destination",
-                source=requests[i].source, destination=requests[i].destination,
-                n_modules=n)
-            continue
-        assignment = _backtrack(view, pred[a, :n], int(dst[a]))
-        mapping = mapping_from_assignment(
-            pipelines[i], network, assignment,
-            objective=Objective.MIN_DELAY, algorithm="elpc-tensor",
-            runtime_s=per_item_runtime, allow_reuse=True)
-        extras = {
-            "dp_value_ms": best,
-            "dp_finite_cells": int(finite_cells[a]),
-            "include_link_delay": include_link_delay,
-            "vectorized": True,
-            "tensor_batch": B,
-        }
-        if keep_table:
-            extras["dp_table"] = _as_dp_table(view, values[a, :n], pred[a, :n],
-                                              same[a, :n])
-        mapping.extras.update(extras)
-        results[i] = mapping
-    return results  # type: ignore[return-value]
-
-
-# --------------------------------------------------------------------------- #
-# Frame-rate DP stage sweep
-# --------------------------------------------------------------------------- #
-def _framerate_stages(staged: StagedView, A: int, n_arr: np.ndarray,
-                      src: np.ndarray, dst: np.ndarray, workload: np.ndarray,
-                      message: np.ndarray, *,
-                      include_link_delay: bool) -> Tuple[np.ndarray,
-                                                         np.ndarray]:
-    """The frame-rate min-max sweep over the padded-slot segment minimum.
-
-    The per-pipeline visited-path guard is an ``(A, k, k)`` boolean tensor
-    gathered along each stage's chosen predecessors; returns the
-    ``(values, pred)`` state arrays.
-    """
-    k = staged.k
-    n_max = int(n_arr.max())
-    arange_A = np.arange(A)
-    values = np.full((A, n_max, k), np.inf)
-    pred = np.full((A, n_max, k), -1, dtype=np.int64)
-    values[arange_A, 0, src] = 0.0
-    # visited[a, u, w]: node w lies on the partial path realising T^{j-1}(u).
-    visited = np.zeros((A, k, k), dtype=bool)
-    visited[arange_A, src, src] = True
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(1, n_max):
-            act = np.flatnonzero(n_arr > j)
-            if act.size == 0:
-                break
-            compute = workload[j][act][:, None] / staged.power_ms[None, :]
-            trans = (message[j][act][:, None] * BITS_PER_BYTE
-                     / staged.edge_bandwidth_bits_per_s[None, :]) * 1e3
-            if include_link_delay:
-                trans = trans + staged.edge_link_delay[None, :]
-            prev = values[act, j - 1]
-            # Min-max update on edges: max(T_prev(u), compute(v), trans(u, v)),
-            # nested exactly like the vectorized engine's np.maximum calls.
-            cand = np.maximum(
-                np.maximum(np.take(prev, staged.edge_u, axis=1),
-                           np.take(compute, staged.edge_v, axis=1)), trans)
-            # Visited-path guard: u -> v is forbidden when v already lies on
-            # u's partial path (node reuse is not allowed in this variant).
-            cand[visited[act][:, staged.edge_u, staged.edge_v]] = np.inf
-            # Intermediate modules never sit on the destination; pipelines of
-            # different lengths hit their last stage at different j.
-            dst_act = dst[act]
-            last = n_arr[act] - 1 == j
-            if not last.all():
-                cand[~last[:, None]
-                     & (staged.edge_v[None, :] == dst_act[:, None])] = np.inf
-            col, best_u = segment_min(cand, staged)
-            if last.any():
-                # Only the destination cell of an item's last column matters.
-                li = np.flatnonzero(last)
-                dst_vals = col[li, dst_act[li]]
-                col[li] = np.inf
-                col[li, dst_act[li]] = dst_vals
-            values[act, j] = col
-            pred[act, j] = np.where(np.isfinite(col), best_u, -1)
-            new_visited = np.take_along_axis(visited[act],
-                                             best_u[:, :, None], axis=1)
-            new_visited[:, staged.rows, staged.rows] = True
-            visited[act] = new_visited
-    return values, pred
+    return _solve_batch(Objective.MIN_DELAY, pipelines, network, requests,
+                        include_link_delay=include_link_delay,
+                        keep_table=keep_table, view=view)
 
 
 def elpc_max_frame_rate_many(pipelines: Sequence[Pipeline],
@@ -566,73 +652,20 @@ def elpc_max_frame_rate_many(pipelines: Sequence[Pipeline],
     """Batched maximum-frame-rate heuristic for many pipelines over one network.
 
     The batched counterpart of
-    :func:`repro.core.vectorized.elpc_max_frame_rate_vec`: the min-max column
+    :func:`repro.core.elpc_framerate.elpc_max_frame_rate`: the min-max column
     update runs on the CSR edge layout through the padded-slot segment
     minimum, the per-pipeline visited-path guard is a ``(B, k, k)``
     boolean tensor gathered along each stage's chosen predecessors, and the
     destination-as-intermediate exclusion is applied per item (pipelines of
     different lengths reach their last column at different stages).  Values,
     feasibility outcomes and backtracked assignments are bit-identical to the
-    scalar and vectorized heuristics.
+    scalar heuristic.
 
     See :func:`elpc_min_delay_many` for parameters and batch semantics.
     """
-    start = time.perf_counter()
-    pipelines = list(pipelines)
-    B = len(pipelines)
-    requests = _broadcast_requests(requests, B)
-    results: List[Optional[BatchEntry]] = [None] * B
-    if B == 0:
-        return []
-    alive = _batched_feasibility(pipelines, network, requests, results,
-                                 framerate=True, view=view)
-    if not alive:
-        return results  # type: ignore[return-value]
-
-    if view is None:
-        view = network.dense_view()
-    k = view.n_nodes
-    A = len(alive)
-    n_arr = np.array([pipelines[i].n_modules for i in alive])
-    src = np.array([view.index_of[requests[i].source] for i in alive])
-    dst = np.array([view.index_of[requests[i].destination] for i in alive])
-    workload, message = _stage_arrays(pipelines, alive, int(n_arr.max()))
-    values, pred = _framerate_stages(stage_view(view), A, n_arr, src, dst,
-                                     workload, message,
-                                     include_link_delay=include_link_delay)
-
-    dp_elapsed = time.perf_counter() - start
-    per_item_runtime = dp_elapsed / A
-    for a, i in enumerate(alive):
-        n = int(n_arr[a])
-        best = float(values[a, n - 1, dst[a]])
-        if not np.isfinite(best):
-            results[i] = InfeasibleMappingError(
-                "ELPC-tensor (max frame rate) found no simple path with "
-                f"exactly {n} nodes from {requests[i].source} to "
-                f"{requests[i].destination}",
-                source=requests[i].source, destination=requests[i].destination,
-                n_modules=n)
-            continue
-        assignment = _backtrack(view, pred[a, :n], int(dst[a]))
-        mapping = mapping_from_assignment(
-            pipelines[i], network, assignment,
-            objective=Objective.MAX_FRAME_RATE, algorithm="elpc-tensor",
-            runtime_s=per_item_runtime, allow_reuse=False)
-        extras = {
-            "dp_bottleneck_ms": best,
-            "dp_finite_cells": int(np.isfinite(values[a, :n]).sum()),
-            "include_link_delay": include_link_delay,
-            "vectorized": True,
-            "tensor_batch": B,
-        }
-        if keep_table:
-            extras["dp_table"] = _as_dp_table(
-                view, values[a, :n], pred[a, :n],
-                np.zeros((n, k), dtype=bool))
-        mapping.extras.update(extras)
-        results[i] = mapping
-    return results  # type: ignore[return-value]
+    return _solve_batch(Objective.MAX_FRAME_RATE, pipelines, network,
+                        requests, include_link_delay=include_link_delay,
+                        keep_table=keep_table, view=view)
 
 
 def elpc_min_delay_tensor(pipeline: Pipeline, network: TransportNetwork,

@@ -177,9 +177,8 @@ class DenseNetworkView:
     """Read-only dense array snapshot of a :class:`TransportNetwork`.
 
     Rows/columns are ordered by ascending node id (the same order as
-    :meth:`TransportNetwork.node_ids`).  The view is what the vectorized and
-    tensor ELPC engines (:mod:`repro.core.vectorized`,
-    :mod:`repro.core.tensor`) and the dense-view baselines iterate over
+    :meth:`TransportNetwork.node_ids`).  The view is what the tensor ELPC
+    engine (:mod:`repro.core.tensor`) and the dense-view baselines iterate over
     instead of per-node ``neighbors`` / ``link`` lookups; it is built once per
     topology and cached on the network until the next mutation.
 
@@ -913,7 +912,7 @@ class TransportNetwork:
         return self.n_links / (k * (k - 1) / 2)
 
     # ------------------------------------------------------------------ #
-    # Dense array views (vectorized solver engine)
+    # Dense array views (tensor solver engine)
     # ------------------------------------------------------------------ #
     def dense_view(self) -> DenseNetworkView:
         """Cached dense array snapshot of the topology and its attributes.
@@ -926,8 +925,8 @@ class TransportNetwork:
         invalidates it.  Scalar edits (:meth:`set_processing_power`,
         :meth:`set_bandwidth`, :meth:`set_link_delay`) do *not* invalidate:
         they swap in a copy-on-write patched view that shares every unchanged
-        array with its predecessor.  The vectorized ELPC solvers
-        (:mod:`repro.core.vectorized`) and the batch engine rely on this so
+        array with its predecessor.  The tensor ELPC engine
+        (:mod:`repro.core.tensor`) and the warm engine rely on this so
         repeated solves over one topology pay the O(k²) construction only once.
         """
         if self._dense_view is not None:
@@ -950,7 +949,7 @@ class TransportNetwork:
         # DenseNetworkView.build derives the bits/s matrix, the CSR edge
         # layout and the neighbour lists, and freezes every array so a caller
         # mutating them gets an error instead of silently corrupting all later
-        # vectorized solves on this network.
+        # array solves on this network.
         self.rebuilds_total += 1
         self._dense_view = DenseNetworkView.build(
             ids, power, adjacency, bandwidth, link_delay,

@@ -209,9 +209,9 @@ def _build_flow_network(coerced: Sequence[PlacementRequest],
 
     # One consistent read of the budgets: against a shared store the live
     # array can move while the flow network is being built.
-    remaining_vec = cluster.node_remaining_vector()
+    node_remaining = cluster.node_remaining_vector()
     for index in range(k):
-        remaining = float(remaining_vec[index])
+        remaining = float(node_remaining[index])
         if remaining > 0:
             mcmf.add_edge(node_vertex(index), 1, remaining, 0.0)
 
@@ -238,7 +238,7 @@ def _build_flow_network(coerced: Sequence[PlacementRequest],
             demand = fps * workloads[j]
             mcmf.add_edge(pipeline_vertex[i], stage_vertex, demand, 0.0)
             for v_index in range(k):
-                if remaining_vec[v_index] <= 0:
+                if node_remaining[v_index] <= 0:
                     continue
                 hs, hd = int(hop_src[v_index]), int(hop_dst[v_index])
                 if hs < 0 or hd < 0:
@@ -267,7 +267,7 @@ def _batch_score(items: Sequence[PlacementItem],
 def place_flow(requests: Sequence[RequestLike],
                cluster: ClusterState, *,
                objective: Objective = Objective.MIN_DELAY,
-               engine: str = "elpc-vec",
+               engine: str = "elpc-tensor",
                demand_fps: float = 1.0,
                max_repair_rounds: int = DEFAULT_MAX_REPAIR_ROUNDS,
                **solver_kwargs) -> PlacementResult:

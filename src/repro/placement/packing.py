@@ -100,7 +100,7 @@ def _prefilter(request: PlacementRequest, cluster: ClusterState
 
 def solve_on_residual(request: PlacementRequest, cluster: ClusterState, *,
                       objective: Objective = Objective.MIN_DELAY,
-                      engine: str = "elpc-vec",
+                      engine: str = "elpc-tensor",
                       max_repair_rounds: int = DEFAULT_MAX_REPAIR_ROUNDS,
                       excluded_nodes: Optional[Set[NodeId]] = None,
                       excluded_links: Optional[Set[Tuple[NodeId, NodeId]]] = None,
@@ -236,7 +236,7 @@ def _pack_in_order(coerced: Sequence[PlacementRequest],
 def place_greedy(requests: Sequence[RequestLike],
                  cluster: ClusterState, *,
                  objective: Objective = Objective.MIN_DELAY,
-                 engine: str = "elpc-vec",
+                 engine: str = "elpc-tensor",
                  order: str = "priority",
                  demand_fps: float = 1.0,
                  max_repair_rounds: int = DEFAULT_MAX_REPAIR_ROUNDS,

@@ -282,7 +282,7 @@ def _plan_value(mapping, *, objective: Objective,
 def simulate_churn(network: TransportNetwork,
                    instances: Sequence[Any],
                    events: Sequence[ChurnEvent], *,
-                   solver: str = "elpc-vec",
+                   solver: str = "elpc-tensor",
                    objective: Objective = Objective.MIN_DELAY,
                    include_link_delay: bool = True,
                    verify: bool = True) -> ChurnResult:

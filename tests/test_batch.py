@@ -23,7 +23,7 @@ def _suite(count: int, *, n_modules: int = 5, nodes: int = 9, links: int = 18):
 class TestSequentialBatches:
     def test_solves_all_instances_in_order(self):
         instances = _suite(6)
-        result = solve_many(instances, solver="elpc-vec",
+        result = solve_many(instances, solver="elpc-tensor",
                             objective=Objective.MIN_DELAY)
         assert len(result) == 6
         assert result.n_solved == 6 and result.n_failed == 0
@@ -41,7 +41,7 @@ class TestSequentialBatches:
 
     def test_accepts_triples(self):
         triples = [(i.pipeline, i.network, i.request) for i in _suite(3)]
-        result = solve_many(triples, solver="elpc-vec",
+        result = solve_many(triples, solver="elpc-tensor",
                             objective=Objective.MIN_DELAY)
         assert result.n_solved == 3
         assert all(item.name is None for item in result)
@@ -55,7 +55,7 @@ class TestSequentialBatches:
     def test_records_infeasible_instances_without_raising(self):
         # 10-module pipelines cannot avoid reuse on 9-node networks.
         instances = _suite(3, n_modules=10)
-        result = solve_many(instances, solver="elpc-vec",
+        result = solve_many(instances, solver="elpc-tensor",
                             objective=Objective.MAX_FRAME_RATE)
         assert result.n_failed == 3
         assert all(item.error for item in result)
@@ -63,9 +63,9 @@ class TestSequentialBatches:
 
     def test_solver_kwargs_forwarded(self):
         instances = _suite(4)
-        with_mld = solve_many(instances, solver="elpc-vec",
+        with_mld = solve_many(instances, solver="elpc-tensor",
                               objective=Objective.MIN_DELAY)
-        without = solve_many(instances, solver="elpc-vec",
+        without = solve_many(instances, solver="elpc-tensor",
                              objective=Objective.MIN_DELAY,
                              include_link_delay=False)
         for a, b in zip(with_mld, without):
@@ -73,8 +73,10 @@ class TestSequentialBatches:
                     <= a.mapping.extras["dp_value_ms"] + 1e-9)
 
     def test_unknown_solver_fails_fast(self):
-        with pytest.raises(SpecificationError):
-            solve_many(_suite(2), solver="nope", objective=Objective.MIN_DELAY)
+        for name in ("nope", "elpc-vec"):
+            with pytest.raises(SpecificationError, match=name):
+                solve_many(_suite(2), solver=name,
+                           objective=Objective.MIN_DELAY)
 
     def test_unexpected_exception_recorded_per_item(self):
         def brittle(pipeline, network, request, **kwargs):
@@ -96,7 +98,7 @@ class TestSequentialBatches:
                 assert "Traceback" in item.traceback
 
     def test_per_item_solves_carry_no_group(self):
-        result = solve_many(_suite(3), solver="elpc-vec",
+        result = solve_many(_suite(3), solver="elpc",
                             objective=Objective.MIN_DELAY)
         assert all(item.group_id is None for item in result)
         assert all(item.group_size == 1 for item in result)

@@ -106,9 +106,9 @@ class TestReproBench:
         """A diverging solver registered under an engine name must fail bench."""
         from repro.core import Objective, get_solver, register_solver
 
-        original = get_solver("elpc-vec", Objective.MIN_DELAY)
+        original = get_solver("elpc-tensor", Objective.MIN_DELAY)
         greedy = get_solver("greedy", Objective.MIN_DELAY)
-        register_solver("elpc-vec", Objective.MIN_DELAY, greedy,
+        register_solver("elpc-tensor", Objective.MIN_DELAY, greedy,
                         overwrite=True)
         try:
             json_path = tmp_path / "bench.json"
@@ -122,7 +122,7 @@ class TestReproBench:
             assert payload["agreement"]["ok"] is False
             assert payload["agreement"]["disagreements"]
         finally:
-            register_solver("elpc-vec", Objective.MIN_DELAY, original,
+            register_solver("elpc-tensor", Objective.MIN_DELAY, original,
                             overwrite=True)
 
 
@@ -157,9 +157,10 @@ class TestReproUmbrella:
         assert "unknown command" in capsys.readouterr().err
 
     def test_solve_with_vectorized_solver(self, capsys):
-        assert main(["solve", "--solver", "elpc-vec", "--case", "1"]) == 0
+        assert main(["solve", "--solver", "elpc-tensor", "--objective",
+                     "framerate", "--case", "1"]) == 0
         out = capsys.readouterr().out
-        assert "elpc-vec" in out
+        assert "elpc-tensor" in out
         assert "selected path" in out
 
     def test_solve_with_tensor_solver(self, capsys):
@@ -187,7 +188,7 @@ class TestReproUmbrella:
     def test_solve_lists_vectorized_and_tensor_solvers(self, capsys):
         assert main(["solve", "--list-algorithms"]) == 0
         out = capsys.readouterr().out
-        assert "elpc-vec" in out
+        assert "elpc-vec" not in out
         assert "elpc-tensor" in out
 
     def test_map_alias(self, capsys):
@@ -202,7 +203,7 @@ class TestReproUmbrella:
 
 class TestBatchSolve:
     def test_batch_seeds_summary(self, capsys):
-        assert main(["solve", "--solver", "elpc-vec", "--workload",
+        assert main(["solve", "--solver", "elpc-tensor", "--workload",
                      "surveillance", "--nodes", "10", "--links", "24",
                      "--batch-seeds", "3"]) == 0
         out = capsys.readouterr().out
@@ -225,7 +226,7 @@ class TestBenchScaling:
                                    "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "speedup" in out
-        assert "delay elpc" in out and "delay vec" in out
+        assert "delay elpc" in out and "delay tensor" in out
         assert out.count("\n") >= 4  # header + rule + one row per size
 
     def test_rejects_malformed_sizes(self, capsys):
@@ -236,7 +237,7 @@ class TestBenchScaling:
 
     def test_via_umbrella(self, capsys):
         assert main(["bench-scaling", "--sizes", "4:8:14"]) == 0
-        assert "Vectorized ELPC engine speedup" in capsys.readouterr().out
+        assert "elpc-tensor speedup" in capsys.readouterr().out
 
 
 class TestReproPlace:

@@ -6,9 +6,10 @@ from repro.core import (
     DPTable,
     Objective,
     elpc_min_delay,
-    elpc_min_delay_vec,
+    elpc_min_delay_tensor,
     exhaustive_min_delay,
 )
+from repro.core.tensor import stage_view
 from repro.exceptions import InfeasibleMappingError
 from repro.generators import (
     complete_network,
@@ -21,7 +22,7 @@ from repro.model import EndToEndRequest, end_to_end_delay_ms
 
 #: Both engines must pass every edge-case test below identically.
 DELAY_SOLVERS = [pytest.param(elpc_min_delay, id="scalar"),
-                 pytest.param(elpc_min_delay_vec, id="vectorized")]
+                 pytest.param(elpc_min_delay_tensor, id="vectorized")]
 
 
 class TestBasicBehaviour:
@@ -137,7 +138,7 @@ class TestStructuralProperties:
 
 
 class TestEdgeCasesBothEngines:
-    """Edge-case coverage shared by the scalar and vectorized solvers."""
+    """Edge-case coverage shared by the scalar and tensor solvers."""
 
     @pytest.mark.parametrize("solver", DELAY_SOLVERS)
     def test_without_link_delay_drops_mld_terms(self, solver, simple_pipeline,
@@ -208,10 +209,18 @@ class TestEdgeCasesBothEngines:
 
     def test_vectorized_survives_network_mutation(self, simple_pipeline,
                                                   simple_network, simple_request):
-        """The dense view cache is invalidated when the topology changes."""
-        before = elpc_min_delay_vec(simple_pipeline, simple_network, simple_request)
+        """The dense view and its staged layout are invalidated when the
+        topology changes."""
+        before = elpc_min_delay_tensor(simple_pipeline, simple_network,
+                                       simple_request)
+        staged_before = stage_view(simple_network.dense_view())
         simple_network.connect(0, 3, bandwidth_mbps=1000.0, min_delay_ms=0.01)
-        after = elpc_min_delay_vec(simple_pipeline, simple_network, simple_request)
+        after = elpc_min_delay_tensor(simple_pipeline, simple_network,
+                                      simple_request)
+        staged_after = stage_view(simple_network.dense_view())
+        assert staged_after is not staged_before
+        assert (staged_after.n_directed_edges
+                == staged_before.n_directed_edges + 2)
         reference = elpc_min_delay(simple_pipeline, simple_network, simple_request)
-        assert after.delay_ms == pytest.approx(reference.delay_ms, rel=1e-12)
+        assert after.delay_ms == reference.delay_ms
         assert after.delay_ms <= before.delay_ms + 1e-9

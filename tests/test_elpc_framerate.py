@@ -5,9 +5,10 @@ import pytest
 from repro.core import (
     Objective,
     elpc_max_frame_rate,
-    elpc_max_frame_rate_vec,
+    elpc_max_frame_rate_tensor,
     exhaustive_max_frame_rate,
 )
+from repro.core.tensor import stage_view
 from repro.exceptions import InfeasibleMappingError
 from repro.generators import (
     complete_network,
@@ -20,7 +21,7 @@ from repro.model import EndToEndRequest, assert_no_reuse, bottleneck_time_ms
 
 #: Both engines must pass every edge-case test below identically.
 FRAMERATE_SOLVERS = [pytest.param(elpc_max_frame_rate, id="scalar"),
-                     pytest.param(elpc_max_frame_rate_vec, id="vectorized")]
+                     pytest.param(elpc_max_frame_rate_tensor, id="vectorized")]
 
 
 class TestBasicBehaviour:
@@ -134,7 +135,7 @@ class TestFeasibilityHandling:
 
 
 class TestEdgeCasesBothEngines:
-    """Edge-case coverage shared by the scalar and vectorized solvers."""
+    """Edge-case coverage shared by the scalar and tensor solvers."""
 
     @pytest.mark.parametrize("solver", FRAMERATE_SOLVERS)
     def test_without_link_delay_never_slower(self, solver, simple_pipeline,
@@ -202,12 +203,18 @@ class TestEdgeCasesBothEngines:
 
     def test_vectorized_survives_network_mutation(self, simple_pipeline,
                                                   simple_network, simple_request):
-        """The dense view cache is invalidated when the topology changes."""
-        elpc_max_frame_rate_vec(simple_pipeline, simple_network, simple_request)
+        """The dense view and its staged layout are invalidated when the
+        topology changes."""
+        elpc_max_frame_rate_tensor(simple_pipeline, simple_network,
+                                   simple_request)
+        staged_before = stage_view(simple_network.dense_view())
         simple_network.connect(1, 3, bandwidth_mbps=1000.0, min_delay_ms=0.01)
-        after = elpc_max_frame_rate_vec(simple_pipeline, simple_network,
-                                        simple_request)
+        after = elpc_max_frame_rate_tensor(simple_pipeline, simple_network,
+                                           simple_request)
+        staged_after = stage_view(simple_network.dense_view())
+        assert staged_after is not staged_before
+        assert (staged_after.n_directed_edges
+                == staged_before.n_directed_edges + 2)
         reference = elpc_max_frame_rate(simple_pipeline, simple_network,
                                         simple_request)
-        assert after.bottleneck_ms == pytest.approx(reference.bottleneck_ms,
-                                                    rel=1e-12)
+        assert after.bottleneck_ms == reference.bottleneck_ms

@@ -5,7 +5,7 @@ Three layers:
 * unit tests of the shared-memory plumbing — exporting / re-attaching a
   :class:`DenseNetworkView`, rebuilding a :class:`TransportNetwork` around an
   attached view, instance specs;
-* the ``workers ∈ {1, 2, 4}`` bit-identity sweep across the three ELPC
+* the ``workers ∈ {1, 2, 4}`` bit-identity sweep across both ELPC
   engines over mixed feasible/infeasible, mixed-network batches (the PR's
   headline regression: ``workers > 1`` must *compose* with the tensor
   engine's group dispatch, not silently replace it);
@@ -28,7 +28,7 @@ from repro.model import ProblemInstance, TransportNetwork
 from repro.model.network import attach_shared_view, export_shared_view
 from repro.model.serialization import InstanceSpec
 
-ENGINES = ("elpc", "elpc-vec", "elpc-tensor")
+ENGINES = ("elpc", "elpc-tensor")
 
 _VIEW_ARRAYS = ("power", "adjacency", "bandwidth", "link_delay",
                 "bandwidth_bits_per_s", "edge_u", "edge_v", "edge_indptr",
@@ -230,7 +230,7 @@ class TestWorkersBitIdentity:
         the parent re-attaches its own — the return path ships no network
         bytes, and callers get mappings over the very objects they passed."""
         instances = _mixed_suite(8)
-        run = solve_many(instances, solver="elpc-vec",
+        run = solve_many(instances, solver="elpc",
                          objective=Objective.MIN_DELAY, workers=2)
         for instance, item in zip(instances, run):
             assert item.mapping.network is instance.network
@@ -239,15 +239,15 @@ class TestWorkersBitIdentity:
     @pytest.mark.parametrize("bad", [0, -1])
     def test_invalid_chunk_size_rejected(self, bad):
         with pytest.raises(SpecificationError):
-            solve_many(_mixed_suite(4), solver="elpc-vec",
+            solve_many(_mixed_suite(4), solver="elpc",
                        objective=Objective.MIN_DELAY, workers=2,
                        chunk_size=bad)
 
     def test_mappings_identical_not_just_values(self):
         instances = _mixed_suite(12)
-        seq = solve_many(instances, solver="elpc-vec",
+        seq = solve_many(instances, solver="elpc",
                          objective=Objective.MIN_DELAY)
-        par = solve_many(instances, solver="elpc-vec",
+        par = solve_many(instances, solver="elpc",
                          objective=Objective.MIN_DELAY, workers=2)
         for a, b in zip(seq, par):
             assert a.mapping.path == b.mapping.path
@@ -271,7 +271,7 @@ class TestPerGroupWallTimes:
 
     def test_parallel_chunks_expose_wall_time(self):
         instances = _mixed_suite(16)
-        run = solve_many(instances, solver="elpc-vec",
+        run = solve_many(instances, solver="elpc",
                          objective=Objective.MIN_DELAY, workers=2,
                          chunk_size=4)
         groups = run.group_times()
@@ -414,7 +414,7 @@ class TestPersistentRunner:
     def test_exports_cached_across_batches(self):
         instances = _mixed_suite(12, n_networks=2)
         with ParallelBatchRunner(workers=2) as runner:
-            first = solve_many(instances, solver="elpc-vec",
+            first = solve_many(instances, solver="elpc",
                                objective=Objective.MIN_DELAY, runner=runner)
             assert len(runner._exports) == 2
             second = solve_many(instances, solver="elpc-tensor",
@@ -431,18 +431,18 @@ class TestPersistentRunner:
         u, v = next((a, b) for a in ids for b in ids
                     if a < b and not network.has_link(a, b))
         with ParallelBatchRunner(workers=2) as runner:
-            solve_many(instances, solver="elpc-vec",
+            solve_many(instances, solver="elpc",
                        objective=Objective.MIN_DELAY, runner=runner)
             [(_, _, stale_shm, stale_spec)] = runner._exports.values()
             network.connect(u, v, bandwidth_mbps=1000.0, min_delay_ms=0.01)
-            after = solve_many(instances, solver="elpc-vec",
+            after = solve_many(instances, solver="elpc",
                                objective=Objective.MIN_DELAY, runner=runner)
             # The stale export was evicted and unlinked on re-export; only
             # the fresh block remains.
             assert len(runner._exports) == 1
             [(_, _, fresh_shm, fresh_spec)] = runner._exports.values()
             assert fresh_spec.shm_name != stale_spec.shm_name
-            reference = solve_many(instances, solver="elpc-vec",
+            reference = solve_many(instances, solver="elpc",
                                    objective=Objective.MIN_DELAY)
             assert after.values() == reference.values()
         assert runner._exports == {}
@@ -455,17 +455,17 @@ class TestPersistentRunner:
 
         instances = _mixed_suite(6)
         with ParallelBatchRunner(workers=2) as runner:
-            solve_many(instances, solver="elpc-vec",
+            solve_many(instances, solver="elpc",
                        objective=Objective.MIN_DELAY, runner=runner)  # forks
             register_solver("late-registered", Objective.MIN_DELAY,
-                            get_solver("elpc-vec", Objective.MIN_DELAY),
+                            get_solver("elpc", Objective.MIN_DELAY),
                             overwrite=True)
             try:
                 late = solve_many(instances, solver="late-registered",
                                   objective=Objective.MIN_DELAY, runner=runner)
             finally:
                 _REGISTRY.pop(("late-registered", Objective.MIN_DELAY), None)
-        reference = solve_many(instances, solver="elpc-vec",
+        reference = solve_many(instances, solver="elpc",
                                objective=Objective.MIN_DELAY)
         assert late.n_solved == reference.n_solved == len(instances)
         assert late.values() == reference.values()
@@ -474,7 +474,7 @@ class TestPersistentRunner:
         runner = ParallelBatchRunner(workers=2)
         runner.close()
         with pytest.raises(SpecificationError):
-            runner.solve(_mixed_suite(2), solver="elpc-vec")
+            runner.solve(_mixed_suite(2), solver="elpc")
         runner.close()  # idempotent
 
     def test_invalid_worker_count_rejected(self):
@@ -495,9 +495,9 @@ class TestPersistentRunner:
                                                         min_hop_distance=1),
                                  name="malformed-net")
         batch = instances + [broken]
-        sequential = solve_many(batch, solver="elpc-vec",
+        sequential = solve_many(batch, solver="elpc-tensor",
                                 objective=Objective.MIN_DELAY)
-        parallel = solve_many(batch, solver="elpc-vec",
+        parallel = solve_many(batch, solver="elpc-tensor",
                               objective=Objective.MIN_DELAY, workers=2)
         assert parallel.values() == sequential.values()
         assert [i.error for i in parallel] == [i.error for i in sequential]

@@ -85,7 +85,7 @@ class TestCommitReleaseSnapshot:
         cluster = ClusterState.from_network(instance.network)
         from repro.core import solve
 
-        mapping = solve("elpc-vec", instance.pipeline, instance.network,
+        mapping = solve("elpc-tensor", instance.pipeline, instance.network,
                         instance.request, objective=Objective.MIN_DELAY)
         return cluster, cluster.demand_of(mapping, demand_fps=1.0)
 

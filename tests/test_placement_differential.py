@@ -47,7 +47,7 @@ class TestUncontendedExactness:
                                            Objective.MAX_FRAME_RATE])
     def test_placer_reproduces_solve_many(self, placer, objective):
         instances = _shared_batch(6)
-        direct = solve_many(instances, solver="elpc-vec", objective=objective)
+        direct = solve_many(instances, solver="elpc-tensor", objective=objective)
         placed = place_many(instances, placer=placer, objective=objective,
                             node_capacity_factor=UNCONTENDED,
                             link_capacity_factor=UNCONTENDED)

@@ -78,12 +78,12 @@ def _post_all(client, instances, **kwargs):
 class TestWireSchema:
     def test_request_roundtrip(self):
         instance = make_case(PAPER_CASE_SPECS[0])
-        request = SolveRequest(instance=instance, solver="elpc-vec",
+        request = SolveRequest(instance=instance, solver="elpc",
                                objective=Objective.MAX_FRAME_RATE,
                                solver_kwargs={"include_link_delay": False})
         payload = json.loads(json.dumps(request.to_wire()))  # full JSON trip
         again = SolveRequest.from_wire(payload)
-        assert again.solver == "elpc-vec"
+        assert again.solver == "elpc"
         assert again.objective is Objective.MAX_FRAME_RATE
         assert again.solver_kwargs == {"include_link_delay": False}
         assert again.instance.name == instance.name
@@ -178,7 +178,7 @@ class TestCoalescing:
             results = [None] * 4
 
             def post(i):
-                solver = "elpc-tensor" if i % 2 == 0 else "elpc-vec"
+                solver = "elpc-tensor" if i % 2 == 0 else "elpc"
                 results[i] = client.solve(instances[i], solver=solver)
 
             threads = [threading.Thread(target=post, args=(i,))
@@ -188,7 +188,7 @@ class TestCoalescing:
             for t in threads:
                 t.join()
         assert all(r["ok"] for r in results)
-        assert {r["solver"] for r in results} == {"elpc-tensor", "elpc-vec"}
+        assert {r["solver"] for r in results} == {"elpc-tensor", "elpc"}
         tensor_groups = {r["group_id"] for r in results
                         if r["solver"] == "elpc-tensor"}
         assert len(tensor_groups) == 1  # the tensor pair still grouped
@@ -269,12 +269,19 @@ class TestErrorIsolation:
         assert second["ok"] is True
 
     def test_unknown_solver_answered_not_dropped(self):
+        # "elpc-vec" is the name of a deleted engine: no alias serves it.
         instances = _instances(1)
         with BackgroundServer(ServiceConfig(max_wait_ms=0.0)) as server:
-            response = server.client().solve(instances[0],
-                                             solver="no-such-engine")
-        assert response["ok"] is False
-        assert "no-such-engine" in response["error"]
+            with server.client() as client:
+                for name in ("no-such-engine", "elpc-vec"):
+                    response = client.solve(instances[0], solver=name)
+                    assert response["ok"] is False
+                    assert name in response["error"]
+                    assert "known solvers" in response["error"]
+                    assert "elpc-tensor" in response["error"]
+                assert client.solve(instances[0])["ok"]
+                status = client.healthz()
+        assert status["connections_total"] == 1  # keep-alive socket reused
 
     def test_malformed_json_gets_400_payload(self):
         from http.client import HTTPConnection
@@ -512,8 +519,9 @@ class TestServeCli:
     def test_unknown_solver_exit_1(self, capsys):
         from repro.cli import main
 
-        assert main(["serve", "--solver", "no-such-engine"]) == 1
-        assert "no-such-engine" in capsys.readouterr().err
+        for name in ("no-such-engine", "elpc-vec"):
+            assert main(["serve", "--solver", name]) == 1
+            assert name in capsys.readouterr().err
 
     def test_bad_max_batch_exit_1(self, capsys):
         from repro.cli import main

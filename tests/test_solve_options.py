@@ -36,8 +36,8 @@ def _instances(count=3, *, seed=3):
 
 class TestMergeSemantics:
     def test_unset_fields_inherit_legacy_kwargs(self):
-        merged = SolveOptions().merged_with(solver="elpc-vec", workers=2)
-        assert merged.solver == "elpc-vec"
+        merged = SolveOptions().merged_with(solver="elpc", workers=2)
+        assert merged.solver == "elpc"
         assert merged.workers == 2
         assert merged.objective is None  # still unspecified
 
@@ -47,10 +47,12 @@ class TestMergeSemantics:
         assert merged == options
 
     def test_agreeing_duplicates_are_fine(self):
-        options = SolveOptions(solver="elpc-vec")
-        merged = options.merged_with(solver="elpc-vec")
-        assert merged.solver == "elpc-vec"
+        options = SolveOptions(solver="elpc")
+        merged = options.merged_with(solver="elpc")
+        assert merged.solver == "elpc"
 
+    # Merging never resolves solver names, so any two distinct strings
+    # conflict — even a name the registry no longer serves.
     @pytest.mark.parametrize("field,a,b", [
         ("solver", "elpc-vec", "elpc-tensor"),
         ("objective", Objective.MIN_DELAY, Objective.MAX_FRAME_RATE),
@@ -63,7 +65,7 @@ class TestMergeSemantics:
             options.merged_with(**{field: b})
 
     def test_conflict_is_a_value_error(self):
-        options = SolveOptions(solver="elpc-vec")
+        options = SolveOptions(solver="elpc-tensor")
         with pytest.raises(ValueError):
             options.merged_with(solver="elpc")
 
@@ -85,10 +87,10 @@ class TestMergeSemantics:
 class TestSolveManyAcceptance:
     def test_options_equivalent_to_kwargs(self):
         instances = _instances()
-        via_kwargs = solve_many(instances, solver="elpc-vec",
+        via_kwargs = solve_many(instances, solver="elpc",
                                 objective=Objective.MIN_DELAY)
         via_options = solve_many(instances, options=SolveOptions(
-            solver="elpc-vec", objective=Objective.MIN_DELAY))
+            solver="elpc", objective=Objective.MIN_DELAY))
         for a, b in zip(via_kwargs.items, via_options.items):
             assert a.mapping.delay_ms == b.mapping.delay_ms
             assert list(a.mapping.path) == list(b.mapping.path)
@@ -97,16 +99,16 @@ class TestSolveManyAcceptance:
         instances = _instances(1)
         with pytest.raises(SpecificationError, match="conflicting"):
             solve_many(instances, solver="elpc",
-                       options=SolveOptions(solver="elpc-vec"))
+                       options=SolveOptions(solver="elpc-tensor"))
 
     def test_bad_options_type_rejected(self):
         with pytest.raises(SpecificationError, match="SolveOptions"):
-            solve_many(_instances(1), options={"solver": "elpc-vec"})
+            solve_many(_instances(1), options={"solver": "elpc-tensor"})
 
     def test_defaults_still_apply_when_unspecified(self):
         instances = _instances(2)
         result = solve_many(instances, options=SolveOptions())
-        assert result.solver == "elpc-vec"
+        assert result.solver == "elpc-tensor"
         assert all(item.ok for item in result.items)
 
 
@@ -114,15 +116,15 @@ class TestPlaceManyAcceptance:
     def test_options_solver_is_the_engine(self):
         instances = _instances()
         result = place_many(instances,
-                            options=SolveOptions(solver="elpc-vec"),
+                            options=SolveOptions(solver="elpc"),
                             node_capacity_factor=1e9,
                             link_capacity_factor=1e9)
-        assert result.engine == "elpc-vec"
+        assert result.engine == "elpc"
 
     def test_engine_conflict_raises(self):
         with pytest.raises(SpecificationError, match="conflicting"):
             place_many(_instances(1), engine="elpc",
-                       options=SolveOptions(solver="elpc-vec"))
+                       options=SolveOptions(solver="elpc-tensor"))
 
     @pytest.mark.parametrize("options", [
         SolveOptions(workers=2),
@@ -136,14 +138,14 @@ class TestPlaceManyAcceptance:
 
 class TestServiceAcceptance:
     def test_options_feed_service_config(self):
-        config = ServiceConfig(options=SolveOptions(solver="elpc-vec",
+        config = ServiceConfig(options=SolveOptions(solver="elpc",
                                                     workers=None))
-        assert config.default_solver == "elpc-vec"
+        assert config.default_solver == "elpc"
 
     def test_config_conflict_raises(self):
         with pytest.raises(SpecificationError, match="conflict"):
             ServiceConfig(default_solver="elpc",
-                          options=SolveOptions(solver="elpc-vec"))
+                          options=SolveOptions(solver="elpc-tensor"))
 
     def test_unsupported_option_fields_rejected(self):
         with pytest.raises(SpecificationError):
@@ -152,13 +154,13 @@ class TestServiceAcceptance:
 
     def test_solve_service_accepts_options(self):
         service = SolveService(ServiceConfig(),
-                               options=SolveOptions(solver="elpc-vec"))
-        assert service.config.default_solver == "elpc-vec"
+                               options=SolveOptions(solver="elpc"))
+        assert service.config.default_solver == "elpc"
 
     def test_solve_service_double_options_conflict(self):
         config = ServiceConfig(options=SolveOptions(solver="elpc-tensor"))
         with pytest.raises(SpecificationError):
-            SolveService(config, options=SolveOptions(solver="elpc-vec"))
+            SolveService(config, options=SolveOptions(solver="elpc"))
 
 
 class TestCuratedNamespace:

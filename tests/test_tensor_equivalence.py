@@ -1,14 +1,13 @@
-"""Differential tests: the tensor batch engine against the vectorized and
-scalar ELPC references.
+"""Differential tests: the tensor batch engine against the scalar ELPC
+references.
 
 The tensor engine (:mod:`repro.core.tensor`) promises to be *bit-identical*
-to the vectorized engine — which PR 1's differential harness already pins to
-the scalar DPs — on every instance: same objective values, same feasibility
-verdicts, same backtracked mappings, same DP tables.  This suite extends that
-harness to ``"elpc-tensor"``:
+to the scalar DPs (the test oracle) on every instance: same objective values,
+same feasibility verdicts, same backtracked mappings, same DP tables.  This
+suite pins that promise for ``"elpc-tensor"``:
 
 * fixed-seed sweeps over generated instances with **exact** (``==``, not
-  approximate) agreement between tensor and vectorized results,
+  approximate) agreement between tensor and scalar results,
 * hypothesis property tests over instance shapes, for both objectives and
   both cost-model variants,
 * batch semantics of :func:`repro.core.batch.solve_many` with the tensor
@@ -30,11 +29,9 @@ from repro.core import (
     elpc_max_frame_rate,
     elpc_max_frame_rate_many,
     elpc_max_frame_rate_tensor,
-    elpc_max_frame_rate_vec,
     elpc_min_delay,
     elpc_min_delay_many,
     elpc_min_delay_tensor,
-    elpc_min_delay_vec,
     solve_many,
 )
 from repro.core.mapping import PipelineMapping
@@ -71,26 +68,26 @@ def _make_instance(seed: int, n_modules: int, k_nodes: int, extra_links: int):
     return pipeline, network, request
 
 
-def _assert_bit_identical(vec_solver, tensor_solver, pipeline, network,
+def _assert_bit_identical(ref_solver, tensor_solver, pipeline, network,
                           request, **kwargs):
-    """Tensor vs vectorized: identical feasibility, *bit-identical* values."""
-    vec_value, vec_mapping = _objective_or_infeasible(
-        vec_solver, pipeline, network, request, **kwargs)
+    """Tensor vs scalar: identical feasibility, *bit-identical* values."""
+    ref_value, ref_mapping = _objective_or_infeasible(
+        ref_solver, pipeline, network, request, **kwargs)
     tensor_value, tensor_mapping = _objective_or_infeasible(
         tensor_solver, pipeline, network, request, **kwargs)
-    if vec_value is INFEASIBLE or tensor_value is INFEASIBLE:
-        assert vec_value is tensor_value, (
-            f"feasibility disagreement: vec={vec_value!r} tensor={tensor_value!r}")
+    if ref_value is INFEASIBLE or tensor_value is INFEASIBLE:
+        assert ref_value is tensor_value, (
+            f"feasibility disagreement: scalar={ref_value!r} tensor={tensor_value!r}")
         return None, None
-    assert tensor_value == vec_value, (
-        f"objective not bit-identical: vec={vec_value!r} tensor={tensor_value!r}")
-    assert tensor_mapping.path == vec_mapping.path
-    assert tensor_mapping.groups == vec_mapping.groups
-    return vec_mapping, tensor_mapping
+    assert tensor_value == ref_value, (
+        f"objective not bit-identical: scalar={ref_value!r} tensor={tensor_value!r}")
+    assert tensor_mapping.path == ref_mapping.path
+    assert tensor_mapping.groups == ref_mapping.groups
+    return ref_mapping, tensor_mapping
 
 
 # --------------------------------------------------------------------------- #
-# Fixed-seed sweep: exact agreement with the vectorized engine
+# Fixed-seed sweep: exact agreement with the scalar reference
 # --------------------------------------------------------------------------- #
 class TestFixedSeedSweep:
     @pytest.mark.parametrize("seed", range(60))
@@ -98,20 +95,20 @@ class TestFixedSeedSweep:
         pipeline, network, request = _make_instance(
             seed=seed * 41, n_modules=3 + seed % 6, k_nodes=5 + seed % 9,
             extra_links=seed % 12)
-        vec, tensor = _assert_bit_identical(
-            elpc_min_delay_vec, elpc_min_delay_tensor, pipeline, network, request)
+        ref, tensor = _assert_bit_identical(
+            elpc_min_delay, elpc_min_delay_tensor, pipeline, network, request)
         if tensor is not None:
             assert tensor.algorithm == "elpc-tensor"
             assert tensor.extras["tensor_batch"] == 1
-            assert tensor.extras["dp_finite_cells"] == vec.extras["dp_finite_cells"]
+            assert tensor.extras["dp_finite_cells"] == ref.extras["dp_finite_cells"]
 
     @pytest.mark.parametrize("seed", range(60))
     def test_max_frame_rate_bit_identical(self, seed):
         pipeline, network, request = _make_instance(
             seed=seed * 59 + 1, n_modules=3 + seed % 4, k_nodes=6 + seed % 8,
             extra_links=seed % 14)
-        vec, tensor = _assert_bit_identical(
-            elpc_max_frame_rate_vec, elpc_max_frame_rate_tensor,
+        ref, tensor = _assert_bit_identical(
+            elpc_max_frame_rate, elpc_max_frame_rate_tensor,
             pipeline, network, request)
         if tensor is not None:
             assert_no_reuse(tensor.path)
@@ -119,7 +116,7 @@ class TestFixedSeedSweep:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_min_delay_matches_scalar(self, seed):
-        """Transitively: tensor == vec == scalar, checked directly anyway."""
+        """The scalar objective value, against a second seed sweep."""
         pipeline, network, request = _make_instance(
             seed=seed * 23 + 7, n_modules=3 + seed % 5, k_nodes=5 + seed % 7,
             extra_links=seed % 9)
@@ -130,7 +127,7 @@ class TestFixedSeedSweep:
         if s_value is INFEASIBLE or t_value is INFEASIBLE:
             assert s_value is t_value
         else:
-            assert t_value == pytest.approx(s_value, rel=1e-12, abs=1e-12)
+            assert t_value == s_value
 
     @pytest.mark.parametrize("seed", range(20))
     def test_max_frame_rate_matches_scalar(self, seed):
@@ -144,7 +141,7 @@ class TestFixedSeedSweep:
         if s_value is INFEASIBLE or t_value is INFEASIBLE:
             assert s_value is t_value
         else:
-            assert t_value == pytest.approx(s_value, rel=1e-12, abs=1e-12)
+            assert t_value == s_value
 
 
 # --------------------------------------------------------------------------- #
@@ -167,7 +164,7 @@ class TestHypothesisEquivalence:
         seed, n_modules, k_nodes, extra_links = shape
         pipeline, network, request = _make_instance(
             seed, n_modules, k_nodes, extra_links)
-        _assert_bit_identical(elpc_min_delay_vec, elpc_min_delay_tensor,
+        _assert_bit_identical(elpc_min_delay, elpc_min_delay_tensor,
                               pipeline, network, request)
 
     @settings(max_examples=50, deadline=None,
@@ -177,7 +174,7 @@ class TestHypothesisEquivalence:
         seed, n_modules, k_nodes, extra_links = shape
         pipeline, network, request = _make_instance(
             seed, n_modules, k_nodes, extra_links)
-        _assert_bit_identical(elpc_max_frame_rate_vec, elpc_max_frame_rate_tensor,
+        _assert_bit_identical(elpc_max_frame_rate, elpc_max_frame_rate_tensor,
                               pipeline, network, request)
 
     @settings(max_examples=25, deadline=None,
@@ -188,7 +185,7 @@ class TestHypothesisEquivalence:
         seed, n_modules, k_nodes, extra_links = shape
         pipeline, network, request = _make_instance(
             seed, n_modules, k_nodes, extra_links)
-        _assert_bit_identical(elpc_min_delay_vec, elpc_min_delay_tensor,
+        _assert_bit_identical(elpc_min_delay, elpc_min_delay_tensor,
                               pipeline, network, request,
                               include_link_delay=False)
 
@@ -199,7 +196,7 @@ class TestHypothesisEquivalence:
         seed, n_modules, k_nodes, extra_links = shape
         pipeline, network, request = _make_instance(
             seed, n_modules, k_nodes, extra_links)
-        _assert_bit_identical(elpc_max_frame_rate_vec,
+        _assert_bit_identical(elpc_max_frame_rate,
                               elpc_max_frame_rate_tensor,
                               pipeline, network, request,
                               include_link_delay=False)
@@ -223,7 +220,7 @@ class TestHypothesisEquivalence:
         assert len(entries) == batch
         for pipeline, request, entry in zip(pipelines, requests, entries):
             value, _ = _objective_or_infeasible(
-                elpc_min_delay_vec, pipeline, network, request)
+                elpc_min_delay, pipeline, network, request)
             if isinstance(entry, InfeasibleMappingError):
                 assert value is INFEASIBLE
             else:
@@ -237,9 +234,9 @@ class TestTableParity:
     @pytest.mark.parametrize("seed", [0, 4, 11])
     def test_min_delay_tables_match(self, seed):
         pipeline, network, request = _make_instance(seed * 13, 5, 8, 6)
-        vec = elpc_min_delay_vec(pipeline, network, request, keep_table=True)
+        ref = elpc_min_delay(pipeline, network, request, keep_table=True)
         tensor = elpc_min_delay_tensor(pipeline, network, request, keep_table=True)
-        v_table, t_table = vec.extras["dp_table"], tensor.extras["dp_table"]
+        v_table, t_table = ref.extras["dp_table"], tensor.extras["dp_table"]
         assert v_table.node_ids == t_table.node_ids
         for j in range(pipeline.n_modules):
             for nid in v_table.node_ids:
@@ -253,7 +250,7 @@ class TestTableParity:
     def test_frame_rate_tables_match(self, seed):
         pipeline, network, request = _make_instance(seed * 17 + 2, 4, 9, 8)
         try:
-            vec = elpc_max_frame_rate_vec(pipeline, network, request,
+            ref = elpc_max_frame_rate(pipeline, network, request,
                                           keep_table=True)
         except InfeasibleMappingError:
             with pytest.raises(InfeasibleMappingError):
@@ -261,7 +258,7 @@ class TestTableParity:
             return
         tensor = elpc_max_frame_rate_tensor(pipeline, network, request,
                                             keep_table=True)
-        v_table, t_table = vec.extras["dp_table"], tensor.extras["dp_table"]
+        v_table, t_table = ref.extras["dp_table"], tensor.extras["dp_table"]
         for j in range(pipeline.n_modules):
             for nid in v_table.node_ids:
                 v_val, t_val = v_table.value(j, nid), t_table.value(j, nid)
@@ -293,10 +290,10 @@ class TestSolveManyTensorDispatch:
         for objective in (Objective.MIN_DELAY, Objective.MAX_FRAME_RATE):
             tensor = solve_many(instances, solver="elpc-tensor",
                                 objective=objective)
-            vec = solve_many(instances, solver="elpc-vec", objective=objective)
+            ref = solve_many(instances, solver="elpc", objective=objective)
             assert tensor.solver == "elpc-tensor"
             assert [item.index for item in tensor] == list(range(12))
-            for t, v in zip(tensor, vec):
+            for t, v in zip(tensor, ref):
                 assert t.ok == v.ok
                 if t.ok:
                     assert (t.objective_value(objective)
@@ -316,9 +313,9 @@ class TestSolveManyTensorDispatch:
         ]
         tensor = solve_many(instances, solver="elpc-tensor",
                             objective=Objective.MIN_DELAY)
-        vec = solve_many(instances, solver="elpc-vec",
+        ref = solve_many(instances, solver="elpc",
                          objective=Objective.MIN_DELAY)
-        assert tensor.values() == vec.values()
+        assert tensor.values() == ref.values()
 
     def test_heterogeneous_networks_fall_back_per_group(self):
         """Every instance on its own network still matches the scalar DP."""
@@ -337,8 +334,8 @@ class TestSolveManyTensorDispatch:
         for t, s_item in zip(tensor, scalar):
             assert t.ok == s_item.ok
             if t.ok:
-                assert t.objective_value(Objective.MIN_DELAY) == pytest.approx(
-                    s_item.objective_value(Objective.MIN_DELAY), rel=1e-12)
+                assert (t.objective_value(Objective.MIN_DELAY)
+                        == s_item.objective_value(Objective.MIN_DELAY))
 
     def test_mixed_networks_preserve_input_order(self):
         """Two interleaved network groups re-scatter into input order."""
@@ -353,10 +350,10 @@ class TestSolveManyTensorDispatch:
                 name=f"mix-{s}"))
         tensor = solve_many(instances, solver="elpc-tensor",
                             objective=Objective.MIN_DELAY)
-        vec = solve_many(instances, solver="elpc-vec",
+        ref = solve_many(instances, solver="elpc",
                          objective=Objective.MIN_DELAY)
         assert [item.name for item in tensor] == [f"mix-{s}" for s in range(8)]
-        assert tensor.values() == vec.values()
+        assert tensor.values() == ref.values()
 
     def test_infeasible_items_recorded_not_raised(self):
         # 12-module pipelines cannot avoid reuse on 10-node networks, and the
@@ -392,7 +389,7 @@ class TestSolveManyTensorDispatch:
         batch = [good[0], bad, good[1]]
         tensor = solve_many(batch, solver="elpc-tensor",
                             objective=Objective.MIN_DELAY)
-        looped = solve_many(batch, solver="elpc-vec",
+        looped = solve_many(batch, solver="elpc",
                             objective=Objective.MIN_DELAY)
         assert [item.ok for item in tensor] == [True, False, True]
         assert "unknown source node 999" in tensor.items[1].error
@@ -433,7 +430,7 @@ class TestManyFunctionSemantics:
         assert len(entries) == 3
         for pipeline, entry in zip(pipelines, entries):
             assert isinstance(entry, PipelineMapping)
-            direct = elpc_min_delay_vec(pipeline, network, request)
+            direct = elpc_min_delay(pipeline, network, request)
             assert entry.extras["dp_value_ms"] == direct.extras["dp_value_ms"]
 
     def test_mismatched_request_count_rejected(self):

@@ -1,17 +1,20 @@
-"""Differential tests: the vectorized ELPC engine against the scalar reference.
+"""Differential tests: the tensor ELPC engine, one instance at a time,
+against the scalar reference.
 
-The vectorized solvers (:mod:`repro.core.vectorized`) promise to be *drop-in*
-replacements for the scalar dynamic programs: identical objective values,
+The single-instance tensor solvers (:func:`elpc_min_delay_tensor` /
+:func:`elpc_max_frame_rate_tensor`, batches of one through
+:mod:`repro.core.tensor`) promise to be *drop-in* replacements for the
+scalar dynamic programs: identical objective values,
 identical feasibility behaviour, and — because they replicate the scalar
 floating-point operation order and tie-breaking — identical DP tables bit for
 bit.  This suite locks that promise in three ways:
 
 * a fixed-seed sweep of 200 random instances (100 per objective) asserting
-  exact value and feasibility agreement,
+  exact (``==``) value and feasibility agreement,
 * hypothesis property tests drawing instance shapes (pipeline length, node
   count, link density, seeds) from strategies, and
-* agreement with the exhaustive oracles on small instances (the vectorized
-  min-delay DP must be exact, and the vectorized frame-rate heuristic must
+* agreement with the exhaustive oracles on small instances (the tensor
+  min-delay DP must be exact, and the tensor frame-rate heuristic must
   never beat the true optimum).
 """
 
@@ -25,9 +28,9 @@ from hypothesis import strategies as st
 
 from repro.core import (
     elpc_max_frame_rate,
-    elpc_max_frame_rate_vec,
+    elpc_max_frame_rate_tensor,
     elpc_min_delay,
-    elpc_min_delay_vec,
+    elpc_min_delay_tensor,
     exhaustive_max_frame_rate,
     exhaustive_min_delay,
 )
@@ -64,20 +67,20 @@ def _make_instance(seed: int, n_modules: int, k_nodes: int, extra_links: int):
     return pipeline, network, request
 
 
-def _assert_agreement(scalar_solver, vec_solver, pipeline, network, request,
+def _assert_agreement(scalar_solver, tensor_solver, pipeline, network, request,
                       **kwargs):
     """Core differential assertion: same feasibility, same objective value."""
     scalar_value, scalar_mapping = _objective_or_infeasible(
         scalar_solver, pipeline, network, request, **kwargs)
-    vec_value, vec_mapping = _objective_or_infeasible(
-        vec_solver, pipeline, network, request, **kwargs)
-    if scalar_value is INFEASIBLE or vec_value is INFEASIBLE:
-        assert scalar_value is vec_value, (
-            f"feasibility disagreement: scalar={scalar_value!r} vec={vec_value!r}")
+    tensor_value, tensor_mapping = _objective_or_infeasible(
+        tensor_solver, pipeline, network, request, **kwargs)
+    if scalar_value is INFEASIBLE or tensor_value is INFEASIBLE:
+        assert scalar_value is tensor_value, (
+            f"feasibility disagreement: scalar={scalar_value!r} tensor={tensor_value!r}")
         return None, None
-    assert vec_value == pytest.approx(scalar_value, rel=1e-12, abs=1e-12), (
-        f"objective disagreement: scalar={scalar_value!r} vec={vec_value!r}")
-    return scalar_mapping, vec_mapping
+    assert tensor_value == scalar_value, (
+        f"objective disagreement: scalar={scalar_value!r} tensor={tensor_value!r}")
+    return scalar_mapping, tensor_mapping
 
 
 # --------------------------------------------------------------------------- #
@@ -89,28 +92,27 @@ class TestFixedSeedSweep:
         pipeline, network, request = _make_instance(
             seed=seed * 37, n_modules=3 + seed % 6, k_nodes=5 + seed % 9,
             extra_links=seed % 12)
-        scalar, vec = _assert_agreement(
-            elpc_min_delay, elpc_min_delay_vec, pipeline, network, request)
-        if vec is not None:
+        scalar, tensor = _assert_agreement(
+            elpc_min_delay, elpc_min_delay_tensor, pipeline, network, request)
+        if tensor is not None:
             # The engines also agree on the realised mapping cost, not just
             # the DP cell value.
-            assert vec.delay_ms == pytest.approx(scalar.delay_ms, rel=1e-12)
-            assert vec.path[0] == request.source
-            assert vec.path[-1] == request.destination
+            assert tensor.delay_ms == scalar.delay_ms
+            assert tensor.path[0] == request.source
+            assert tensor.path[-1] == request.destination
 
     @pytest.mark.parametrize("seed", range(100))
     def test_max_frame_rate_agreement(self, seed):
         pipeline, network, request = _make_instance(
             seed=seed * 53 + 1, n_modules=3 + seed % 4, k_nodes=6 + seed % 8,
             extra_links=seed % 14)
-        scalar, vec = _assert_agreement(
-            elpc_max_frame_rate, elpc_max_frame_rate_vec,
+        scalar, tensor = _assert_agreement(
+            elpc_max_frame_rate, elpc_max_frame_rate_tensor,
             pipeline, network, request)
-        if vec is not None:
-            assert vec.frame_rate_fps == pytest.approx(scalar.frame_rate_fps,
-                                                       rel=1e-12)
-            assert_no_reuse(vec.path)
-            assert len(vec.path) == pipeline.n_modules
+        if tensor is not None:
+            assert tensor.frame_rate_fps == scalar.frame_rate_fps
+            assert_no_reuse(tensor.path)
+            assert len(tensor.path) == pipeline.n_modules
 
 
 # --------------------------------------------------------------------------- #
@@ -133,7 +135,7 @@ class TestHypothesisEquivalence:
         seed, n_modules, k_nodes, extra_links = shape
         pipeline, network, request = _make_instance(
             seed, n_modules, k_nodes, extra_links)
-        _assert_agreement(elpc_min_delay, elpc_min_delay_vec,
+        _assert_agreement(elpc_min_delay, elpc_min_delay_tensor,
                           pipeline, network, request)
 
     @settings(max_examples=60, deadline=None,
@@ -143,7 +145,7 @@ class TestHypothesisEquivalence:
         seed, n_modules, k_nodes, extra_links = shape
         pipeline, network, request = _make_instance(
             seed, n_modules, k_nodes, extra_links)
-        _assert_agreement(elpc_max_frame_rate, elpc_max_frame_rate_vec,
+        _assert_agreement(elpc_max_frame_rate, elpc_max_frame_rate_tensor,
                           pipeline, network, request)
 
     @settings(max_examples=30, deadline=None,
@@ -154,7 +156,7 @@ class TestHypothesisEquivalence:
         seed, n_modules, k_nodes, extra_links = shape
         pipeline, network, request = _make_instance(
             seed, n_modules, k_nodes, extra_links)
-        _assert_agreement(elpc_min_delay, elpc_min_delay_vec,
+        _assert_agreement(elpc_min_delay, elpc_min_delay_tensor,
                           pipeline, network, request, include_link_delay=False)
 
     @settings(max_examples=30, deadline=None,
@@ -164,7 +166,7 @@ class TestHypothesisEquivalence:
         seed, n_modules, k_nodes, extra_links = shape
         pipeline, network, request = _make_instance(
             seed, n_modules, k_nodes, extra_links)
-        _assert_agreement(elpc_max_frame_rate, elpc_max_frame_rate_vec,
+        _assert_agreement(elpc_max_frame_rate, elpc_max_frame_rate_tensor,
                           pipeline, network, request, include_link_delay=False)
 
 
@@ -177,9 +179,9 @@ class TestAgainstExhaustiveOracles:
         pipeline = random_pipeline(5, seed=seed)
         network = random_network(7, 13, seed=seed)
         request = random_request(network, seed=seed, min_hop_distance=1)
-        vec = elpc_min_delay_vec(pipeline, network, request)
+        tensor = elpc_min_delay_tensor(pipeline, network, request)
         brute = exhaustive_min_delay(pipeline, network, request)
-        assert vec.delay_ms == pytest.approx(brute.delay_ms, rel=1e-9)
+        assert tensor.delay_ms == pytest.approx(brute.delay_ms, rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_vec_frame_rate_never_beats_exhaustive(self, seed):
@@ -191,15 +193,15 @@ class TestAgainstExhaustiveOracles:
         except InfeasibleMappingError:
             pytest.skip("instance genuinely infeasible")
         try:
-            vec = elpc_max_frame_rate_vec(pipeline, network, request)
+            tensor = elpc_max_frame_rate_tensor(pipeline, network, request)
         except InfeasibleMappingError:
             pytest.skip("heuristic miss (must match the scalar, checked elsewhere)")
-        assert vec.frame_rate_fps <= exact.frame_rate_fps + 1e-9
-        assert_no_reuse(vec.path)
+        assert tensor.frame_rate_fps <= exact.frame_rate_fps + 1e-9
+        assert_no_reuse(tensor.path)
 
     def test_vec_and_scalar_heuristics_miss_identically(self):
         """When the heuristic misses a feasible instance, both engines miss."""
-        scalar_outcomes, vec_outcomes = [], []
+        scalar_outcomes, tensor_outcomes = [], []
         for seed in range(40):
             pipeline, network, request = _make_instance(
                 seed * 11 + 3, n_modules=4 + seed % 3, k_nodes=6 + seed % 5,
@@ -207,10 +209,10 @@ class TestAgainstExhaustiveOracles:
             s_value, _ = _objective_or_infeasible(
                 elpc_max_frame_rate, pipeline, network, request)
             v_value, _ = _objective_or_infeasible(
-                elpc_max_frame_rate_vec, pipeline, network, request)
+                elpc_max_frame_rate_tensor, pipeline, network, request)
             scalar_outcomes.append(s_value is INFEASIBLE)
-            vec_outcomes.append(v_value is INFEASIBLE)
-        assert scalar_outcomes == vec_outcomes
+            tensor_outcomes.append(v_value is INFEASIBLE)
+        assert scalar_outcomes == tensor_outcomes
 
 
 # --------------------------------------------------------------------------- #
@@ -221,8 +223,8 @@ class TestTableParity:
     def test_min_delay_tables_match(self, seed):
         pipeline, network, request = _make_instance(seed * 7, 5, 8, 6)
         scalar = elpc_min_delay(pipeline, network, request, keep_table=True)
-        vec = elpc_min_delay_vec(pipeline, network, request, keep_table=True)
-        s_table, v_table = scalar.extras["dp_table"], vec.extras["dp_table"]
+        tensor = elpc_min_delay_tensor(pipeline, network, request, keep_table=True)
+        s_table, v_table = scalar.extras["dp_table"], tensor.extras["dp_table"]
         assert s_table.node_ids == v_table.node_ids
         for j in range(pipeline.n_modules):
             for nid in s_table.node_ids:
@@ -230,4 +232,4 @@ class TestTableParity:
                 if math.isinf(s_val):
                     assert math.isinf(v_val), (j, nid)
                 else:
-                    assert v_val == pytest.approx(s_val, rel=1e-12), (j, nid)
+                    assert v_val == s_val, (j, nid)
