@@ -1,12 +1,12 @@
-"""Benchmark: shared-ledger admission control on a pre-fork fleet.
+"""Benchmark: fleet admission control on a pre-fork fleet.
 
-The PR's acceptance bar: routing every admission decision through the
-``multiprocessing.shared_memory`` fleet ledger (one cross-process lock, one
-journal write per commit) must cost **at most 20% of fleet throughput** —
-a 2-replica fleet with ``--admission-control`` sustains >= 0.8x the
+The acceptance bar: routing every admission decision through the
+supervisor's one admission book (one pipe round trip per flush partition
+from each replica) must cost **at most 20% of fleet throughput** — a
+2-replica fleet with ``--admission-control`` sustains >= 0.8x the
 throughput of the same fleet without it.  The admission run uses a huge
 capacity factor so every request is admitted: the measured cost is the
-ledger protocol itself, not rejection short-circuits.
+pipe protocol itself, not rejection short-circuits.
 
 The second test is the correctness half of the bar: drive an oversubscribed
 admission fleet, then replay exactly the mappings it admitted through
@@ -59,7 +59,7 @@ _TRIALS = 2
 _WORKLOAD = dict(n_modules=4, n_nodes=8, n_links=16, seed=5)
 _WORKLOAD_SIZE = 16
 #: Admit-everything factor for the throughput A/B: the cost under test is
-#: the shared-ledger commit protocol, not capacity exhaustion.
+#: the admission pipe protocol, not capacity exhaustion.
 _HUGE_FACTOR = "1e9"
 
 
@@ -146,13 +146,13 @@ def _best_offered(port, tmp, tag):
 
 
 # --------------------------------------------------------------------- #
-# Throughput: shared-ledger admission vs no admission
+# Throughput: fleet admission vs no admission
 # --------------------------------------------------------------------- #
 
 @pytest.fixture(scope="module")
 def admission_measurement(tmp_path_factory):
-    """Throughput of a {_REPLICAS}-replica fleet with and without the
-    shared admission ledger (best of {_TRIALS} trials each)."""
+    """Throughput of a {_REPLICAS}-replica fleet with and without
+    admission control (best of {_TRIALS} trials each)."""
     tmp = tmp_path_factory.mktemp("bench-admission-fleet")
     ledger_proc, ledger_port = _spawn_server(
         ["--replicas", str(_REPLICAS), "--admission-control",
@@ -174,7 +174,7 @@ def admission_measurement(tmp_path_factory):
 @pytest.mark.benchmark(group="admission-fleet")
 def test_admission_fleet_throughput(benchmark, admission_measurement):
     """Timed metric: a keep-alive burst through a {_REPLICAS}-replica
-    shared-ledger fleet, plus the >= 0.8x admission-vs-plain bar."""
+    admission fleet, plus the >= 0.8x admission-vs-plain bar."""
     instances = generate_workload(_WORKLOAD_SIZE, **_WORKLOAD)
     proc, port = _spawn_server(
         ["--replicas", str(_REPLICAS), "--admission-control",
@@ -217,7 +217,7 @@ def test_admission_fleet_throughput(benchmark, admission_measurement):
         pytest.skip(f"host has {os.cpu_count()} CPUs; fleet measurement "
                     f"needs at least {_REPLICAS}")
     assert ratio >= 0.8, (
-        f"shared-ledger admission costs too much: {ratio:.2f}x the "
+        f"fleet admission costs too much: {ratio:.2f}x the "
         f"no-admission fleet ({ledger_rps:.0f} vs {plain_rps:.0f} req/s); "
         "expected >= 0.8x")
 
@@ -246,7 +246,7 @@ def _two_node_instance(index):
 
 
 def test_admission_zero_overdraw_replay():
-    """Oversubscribe a 2-replica shared-ledger fleet (budgets for exactly 3
+    """Oversubscribe a 2-replica admission fleet (budgets for exactly 3
     of 8 identical requests), then replay the admitted mappings on a fresh
     private ledger: the commits must all fit (zero overdraw) and end below
     full utilisation, while the fleet's healthz shows the rejections and a
@@ -284,9 +284,9 @@ def test_admission_zero_overdraw_replay():
             list(group) for group in mapping.groups]
         assert response["mapping"]["path"] == list(mapping.path)
 
-    # The replay: identical budgets, a fresh private LocalStore, demands
+    # The replay: identical budgets, a fresh private ledger, demands
     # recomputed from the admitted mappings themselves.  CapacityError here
-    # would mean the fleet double-spent shared capacity.
+    # would mean the fleet double-spent capacity.
     cluster = ClusterState.from_network(probe.network,
                                         node_capacity_factor=factor,
                                         link_capacity_factor=factor)

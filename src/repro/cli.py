@@ -406,10 +406,11 @@ def _build_serve_parser(prog: str = "repro serve") -> argparse.ArgumentParser:
                              "rather than answer, requests the cluster "
                              "cannot hold; higher-priority requests in a "
                              "batch are admitted first; with --replicas N "
-                             "the supervisor creates one shared-memory "
-                             "fleet ledger so all replicas charge the same "
-                             "budgets (and a crashed replica's reservations "
-                             "are released on reap)")
+                             "the supervisor holds the only ledgers and "
+                             "every replica admits through a pipe to it, so "
+                             "all replicas charge the same budgets (and a "
+                             "crashed replica's reservations are released "
+                             "on reap)")
     parser.add_argument("--admission-capacity-factor", type=float, default=1.0,
                         help="scale the ledger's node and link budgets "
                              "(with --admission-control; default: 1.0)")

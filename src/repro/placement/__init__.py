@@ -45,12 +45,7 @@ from .flow import MinCostFlow, place_flow
 from .ledger import (
     CapacityViolation,
     ClusterState,
-    LedgerStore,
-    LocalStore,
     PlacementDemand,
-    SharedLedger,
-    SharedLedgerSpec,
-    SharedStore,
     validate_placements,
 )
 from .packing import place_greedy, solve_on_residual
@@ -61,11 +56,6 @@ __all__ = [
     "PlacementItem",
     "PlacementResult",
     "ClusterState",
-    "LedgerStore",
-    "LocalStore",
-    "SharedStore",
-    "SharedLedger",
-    "SharedLedgerSpec",
     "PlacementDemand",
     "CapacityViolation",
     "validate_placements",

@@ -207,8 +207,8 @@ def _build_flow_network(coerced: Sequence[PlacementRequest],
     # among equals.
     hop_penalty = 0.1 * float(np.median(per_op_ms))
 
-    # One consistent read of the budgets: against a shared store the live
-    # array can move while the flow network is being built.
+    # One consistent read of the budgets: a concurrent committer could move
+    # the live array while the flow network is being built.
     node_remaining = cluster.node_remaining_vector()
     for index in range(k):
         remaining = float(node_remaining[index])

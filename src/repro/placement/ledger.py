@@ -23,43 +23,26 @@ the remaining arrays from scratch and the batch validator
 (:func:`validate_placements`) can replay a whole placement result against a
 fresh ledger.
 
-Storage seam
-------------
-``ClusterState`` does not own its remaining-budget arrays directly: all
-reads and writes go through a :class:`LedgerStore`.  Two implementations:
-
-* :class:`LocalStore` — plain in-process numpy arrays guarded by a
-  ``threading.RLock``; the default everywhere (``repro place``, single
-  -process admission control) and bit-identical to the pre-seam ledger.
-* :class:`SharedStore` — one network slot inside a :class:`SharedLedger`, a
-  ``multiprocessing.shared_memory`` slab guarded by a cross-process
-  ``multiprocessing.RLock``.  Every pre-fork service replica charges the
-  *same* remaining arrays, so an N-replica fleet admits exactly what one
-  ledger allows, and each replica additionally journals its own holdings
-  per slot (``node_held`` / ``link_held`` rows) so the supervisor can
-  refund a crashed replica's reservations on reap
-  (:meth:`SharedLedger.release_replica`).
-
-The supervisor *creates* the slab (:meth:`SharedLedger.create`) before
-forking and unlinks it on drain; replicas re-attach by segment name
-(:meth:`SharedLedger.attach`, the lock rides the fork).  Network slots are
-allocated lazily under the lock, keyed by the digest of the network's wire
-ref, so every replica that interns the same topology lands on the same slot.
+Every budget lives in the ledger's own NumPy arrays behind its own
+``threading.RLock``: ``commit``, ``release``, ``snapshot``, ``restore`` and
+every multi-element query hold it, so concurrent committers in one process
+see consistent budgets.  Several processes never share one ledger: a
+pre-fork service fleet admits through one owner in its supervisor
+(:mod:`repro.service.admission`), which holds plain ``ClusterState``
+ledgers and answers the replicas over pipes.
 
 Floating-point note: budgets are compared with a relative slack of
 ``1e-9 * capacity`` so a pipeline whose demand *exactly* equals the budget is
-admitted despite rounding; the validator applies the same slack.  Both
-stores do the same ``-=``/``+=`` IEEE-double arithmetic in the same order,
-so local and shared ledgers admit identical request sequences identically.
+admitted despite rounding; the validator applies the same slack.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
+from collections import Counter
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -70,8 +53,7 @@ from ..model.network import TransportNetwork
 from ..types import NodeId
 
 __all__ = ["PlacementDemand", "CapacityViolation", "ClusterState",
-           "LedgerStore", "LocalStore", "SharedStore", "SharedLedger",
-           "SharedLedgerSpec", "validate_placements"]
+           "validate_placements"]
 
 #: Relative slack applied to every budget comparison (see module notes).
 _REL_SLACK = 1e-9
@@ -143,532 +125,28 @@ class _Snapshot:
     committed: Tuple[PlacementDemand, ...] = ()
 
 
-# ---------------------------------------------------------------------- #
-# The storage seam
-# ---------------------------------------------------------------------- #
-class LedgerStore:
-    """Where a :class:`ClusterState`'s remaining budgets physically live.
-
-    The contract every implementation honours:
-
-    * ``node_remaining`` / ``link_remaining`` — *live* float64 arrays (dense
-      -view node order / ``ClusterState.link_keys`` order).  Mutations made
-      through :meth:`charge` / :meth:`refund` are visible to every holder of
-      the same store (other threads for :class:`LocalStore`, other
-      processes for :class:`SharedStore`).
-    * ``lock`` — a re-entrant context manager serialising every compound
-      read-modify-write; :class:`ClusterState` takes it around ``commit``,
-      ``release``, ``snapshot``, ``restore`` and every multi-element query.
-    * :meth:`charge` / :meth:`refund` subtract / add ``(index, amount)``
-      deltas in the given order with plain ``-=`` / ``+=`` IEEE arithmetic —
-      both stores produce bit-identical budget trajectories.
-    """
-
-    kind = "abstract"
-    node_remaining: np.ndarray
-    link_remaining: np.ndarray
-
-    @property
-    def lock(self):
-        raise NotImplementedError
-
-    def charge(self, node_deltas: Sequence[Tuple[int, float]],
-               link_deltas: Sequence[Tuple[int, float]]) -> None:
-        raise NotImplementedError
-
-    def refund(self, node_deltas: Sequence[Tuple[int, float]],
-               link_deltas: Sequence[Tuple[int, float]]) -> None:
-        raise NotImplementedError
-
-    def restore_remaining(self, node_values: np.ndarray,
-                          link_values: np.ndarray,
-                          node_delta: np.ndarray,
-                          link_delta: np.ndarray) -> None:
-        """Roll budgets back to a snapshot.
-
-        ``node_values``/``link_values`` are the snapshot's absolute arrays;
-        ``node_delta``/``link_delta`` are *this committer's* usage growth
-        since the snapshot (current own usage − snapshot own usage).  A
-        private store overwrites with the absolute values; a shared store
-        must only refund the caller's own delta — other replicas' commits
-        made since the snapshot are not this committer's to roll back.
-        """
-        raise NotImplementedError
-
-    def total_used(self, node_capacity: np.ndarray, link_capacity: np.ndarray,
-                   own_node_used: np.ndarray, own_link_used: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fleet-wide usage arrays for :meth:`ClusterState.validate`.
-
-        For a private store that is exactly the caller's own usage; a shared
-        store returns the sum of every replica's holdings journal and
-        additionally cross-checks the caller's journal row against
-        ``own_*_used`` (raising :class:`CapacityError` on divergence — a
-        bookkeeping bug, not a bad input).
-        """
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Detach from any external resources (no-op for local stores)."""
-
-
-class LocalStore(LedgerStore):
-    """In-process numpy budgets behind a ``threading.RLock`` (the default)."""
-
-    kind = "local"
-
-    def __init__(self, node_remaining: np.ndarray,
-                 link_remaining: np.ndarray) -> None:
-        self.node_remaining = np.asarray(node_remaining, dtype=float).copy()
-        self.link_remaining = np.asarray(link_remaining, dtype=float).copy()
-        self._lock = threading.RLock()
-
-    @property
-    def lock(self):
-        return self._lock
-
-    def charge(self, node_deltas, link_deltas) -> None:
-        for index, amount in node_deltas:
-            self.node_remaining[index] -= amount
-        for index, amount in link_deltas:
-            self.link_remaining[index] -= amount
-
-    def refund(self, node_deltas, link_deltas) -> None:
-        for index, amount in node_deltas:
-            self.node_remaining[index] += amount
-        for index, amount in link_deltas:
-            self.link_remaining[index] += amount
-
-    def restore_remaining(self, node_values, link_values,
-                          node_delta, link_delta) -> None:
-        # Private budgets: nobody else could have moved them, so the
-        # snapshot's absolute arrays are the whole truth (this also restores
-        # any direct out-of-band edits, e.g. the drain-a-node test pattern
-        # ``cluster.node_remaining[i] = 0.0``).
-        self.node_remaining[:] = node_values
-        self.link_remaining[:] = link_values
-
-    def total_used(self, node_capacity, link_capacity,
-                   own_node_used, own_link_used):
-        return own_node_used, own_link_used
-
-
-@dataclass(frozen=True)
-class SharedLedgerSpec:
-    """Geometry + segment name of one :class:`SharedLedger` slab.
-
-    Travels from the supervisor to its replicas (it rides the fork inside
-    the :class:`SharedLedger` object); :meth:`SharedLedger.attach` maps the
-    named segment again in the child, proving the by-name protocol any
-    non-fork transport would need.
-    """
-
-    name: str
-    replicas: int
-    max_networks: int
-    max_nodes: int
-    max_links: int
-
-
-#: Slab global header, in float64 slots: [layout version, released_total].
-_HDR_FLOATS = 2
-#: Per-slot meta, in float64 slots: [in_use, n_nodes, n_links].
-_SLOT_META_FLOATS = 3
-_DIGEST_BYTES = 32
-
-
-class SharedLedger:
-    """One ``multiprocessing.shared_memory`` slab of fleet capacity ledgers.
-
-    The supervisor :meth:`create`\\ s the slab **before forking** — networks
-    only become known at request time, so the slab is a registry of
-    ``max_networks`` fixed-geometry slots, each holding one network's
-    capacity/remaining arrays plus one holdings-journal row per replica.
-    Replicas :meth:`attach` by segment name and call :meth:`store_for` to
-    allocate-or-join the slot of an interned network (keyed by the digest of
-    its wire ref, which is a pure function of the network payload — so every
-    replica lands on the same slot without coordination beyond the lock).
-
-    Crash-release: each commit/release also updates the committing replica's
-    journal row.  When the supervisor reaps a dead replica it calls
-    :meth:`release_replica`, which refunds the row into ``remaining`` and
-    zeroes it — reservations die with their holder instead of leaking until
-    restart.
-
-    The slab lock is a ``multiprocessing.RLock`` created with the slab; it
-    is inherited through ``fork`` (it cannot be attached by name — only the
-    memory segment can), which matches the pre-fork, POSIX-only replica
-    design.
-    """
-
-    def __init__(self, spec: SharedLedgerSpec, shm, lock, *,
-                 owner: bool) -> None:
-        self.spec = spec
-        self._shm = shm
-        self._lock = lock
-        self._owner = owner
-        self._unlinked = False
-        floats = (2 * spec.max_nodes + 2 * spec.max_links
-                  + spec.replicas * (spec.max_nodes + spec.max_links))
-        self._slot_bytes = (_SLOT_META_FLOATS * 8 + _DIGEST_BYTES + floats * 8)
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def create(cls, *, replicas: int, max_networks: int = 16,
-               max_nodes: int = 512, max_links: int = 4096) -> "SharedLedger":
-        """Create the slab (supervisor side, pre-fork); zero-initialised."""
-        import multiprocessing
-        from multiprocessing import shared_memory
-
-        if replicas < 1:
-            raise SpecificationError(
-                f"shared ledger needs replicas >= 1, got {replicas!r}")
-        if max_networks < 1 or max_nodes < 1 or max_links < 1:
-            raise SpecificationError(
-                "shared ledger geometry must be >= 1 in every dimension")
-        floats = (2 * max_nodes + 2 * max_links
-                  + replicas * (max_nodes + max_links))
-        slot_bytes = _SLOT_META_FLOATS * 8 + _DIGEST_BYTES + floats * 8
-        size = _HDR_FLOATS * 8 + max_networks * slot_bytes
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        shm.buf[:size] = bytes(size)
-        spec = SharedLedgerSpec(name=shm.name, replicas=replicas,
-                                max_networks=max_networks,
-                                max_nodes=max_nodes, max_links=max_links)
-        ledger = cls(spec, shm, multiprocessing.RLock(), owner=True)
-        ledger._header()[0] = 1.0  # layout version
-        return ledger
-
-    def attach(self) -> "SharedLedger":
-        """Re-map the named segment (replica side, post-fork).
-
-        The returned ledger shares this one's lock object — locks ride the
-        fork; only the memory travels by name.  The attachment is
-        unregistered from the ``resource_tracker`` so a replica's exit (or
-        crash) never unlinks the supervisor-owned segment underneath the
-        rest of the fleet.
-        """
-        from multiprocessing import resource_tracker, shared_memory
-
-        shm = shared_memory.SharedMemory(name=self.spec.name)
-        try:  # attach registers on this Python; creator-only cleanup wanted
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker API drift
-            pass
-        return SharedLedger(self.spec, shm, self._lock, owner=False)
-
-    def close(self) -> None:
-        """Drop this process's mapping (the segment itself survives)."""
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - a live view pins the map
-            pass
-
-    def unlink(self) -> None:
-        """Destroy the segment (owner/supervisor, at drain)."""
-        if self._unlinked:
-            return
-        self._unlinked = True
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - raced cleanup
-            pass
-
-    @property
-    def lock(self):
-        return self._lock
-
-    # ------------------------------------------------------------------ #
-    # Slab views
-    # ------------------------------------------------------------------ #
-    def _header(self) -> np.ndarray:
-        return np.frombuffer(self._shm.buf, dtype=np.float64,
-                             count=_HDR_FLOATS, offset=0)
-
-    def _slot_meta(self, slot: int) -> np.ndarray:
-        base = _HDR_FLOATS * 8 + slot * self._slot_bytes
-        return np.frombuffer(self._shm.buf, dtype=np.float64,
-                             count=_SLOT_META_FLOATS, offset=base)
-
-    def _slot_digest(self, slot: int) -> bytes:
-        base = (_HDR_FLOATS * 8 + slot * self._slot_bytes
-                + _SLOT_META_FLOATS * 8)
-        return bytes(self._shm.buf[base:base + _DIGEST_BYTES])
-
-    def _write_slot_digest(self, slot: int, digest: bytes) -> None:
-        base = (_HDR_FLOATS * 8 + slot * self._slot_bytes
-                + _SLOT_META_FLOATS * 8)
-        self._shm.buf[base:base + _DIGEST_BYTES] = digest
-
-    def _slot_arrays(self, slot: int) -> Dict[str, np.ndarray]:
-        """Full-geometry views of one slot's budget/journal arrays."""
-        spec = self.spec
-        base = (_HDR_FLOATS * 8 + slot * self._slot_bytes
-                + _SLOT_META_FLOATS * 8 + _DIGEST_BYTES)
-
-        def view(count: int) -> np.ndarray:
-            nonlocal base
-            arr = np.frombuffer(self._shm.buf, dtype=np.float64,
-                                count=count, offset=base)
-            base += count * 8
-            return arr
-
-        return {
-            "node_capacity": view(spec.max_nodes),
-            "link_capacity": view(spec.max_links),
-            "node_remaining": view(spec.max_nodes),
-            "link_remaining": view(spec.max_links),
-            "node_held": view(spec.replicas * spec.max_nodes
-                              ).reshape(spec.replicas, spec.max_nodes),
-            "link_held": view(spec.replicas * spec.max_links
-                              ).reshape(spec.replicas, spec.max_links),
-        }
-
-    @staticmethod
-    def _digest_of(key: str) -> bytes:
-        return hashlib.sha256(key.encode("utf-8")).digest()
-
-    # ------------------------------------------------------------------ #
-    # Slot allocation (replica side)
-    # ------------------------------------------------------------------ #
-    def store_for(self, key: str, replica_id: int,
-                  node_capacity: np.ndarray, link_capacity: np.ndarray,
-                  link_keys: Optional[Sequence] = None) -> "SharedStore":
-        """Allocate-or-join the slot of network ``key``; returns its store.
-
-        The first caller initialises the slot (capacities written, remaining
-        = capacity, journals zeroed); later callers — other replicas, or the
-        same replica after an interner re-intern — join it with the drained
-        budgets intact, verifying the stored capacities match their own
-        derivation (a mismatch means configuration drift across the fleet,
-        :class:`SpecificationError`).  Raises
-        :class:`~repro.exceptions.CapacityError` when the network exceeds
-        the slab geometry or every slot is taken — callers surface that as
-        an admission rejection, not a crash.
-        """
-        spec = self.spec
-        if not 0 <= int(replica_id) < spec.replicas:
-            raise SpecificationError(
-                f"replica_id must be in [0, {spec.replicas}), got "
-                f"{replica_id!r}")
-        node_capacity = np.asarray(node_capacity, dtype=float)
-        link_capacity = np.asarray(link_capacity, dtype=float)
-        n_nodes, n_links = len(node_capacity), len(link_capacity)
-        if n_nodes > spec.max_nodes or n_links > spec.max_links:
-            raise CapacityError(
-                f"network ({n_nodes} nodes, {n_links} links) exceeds the "
-                f"fleet ledger slot geometry ({spec.max_nodes} nodes, "
-                f"{spec.max_links} links); raise the supervisor's ledger "
-                "geometry")
-        digest = self._digest_of(key)
-        with self._lock:
-            free: Optional[int] = None
-            for slot in range(spec.max_networks):
-                meta = self._slot_meta(slot)
-                if not meta[0]:
-                    if free is None:
-                        free = slot
-                    continue
-                if self._slot_digest(slot) != digest:
-                    continue
-                if int(meta[1]) != n_nodes or int(meta[2]) != n_links:
-                    raise SpecificationError(
-                        f"fleet ledger slot for {key!r} has "
-                        f"{int(meta[1])} nodes/{int(meta[2])} links but this "
-                        f"replica derived {n_nodes}/{n_links} — replicas "
-                        "disagree about the network")
-                arrays = self._slot_arrays(slot)
-                if (not np.array_equal(arrays["node_capacity"][:n_nodes],
-                                       node_capacity)
-                        or not np.array_equal(
-                            arrays["link_capacity"][:n_links],
-                            link_capacity)):
-                    raise SpecificationError(
-                        f"fleet ledger slot for {key!r} was initialised with "
-                        "different capacities — replicas disagree about the "
-                        "admission configuration")
-                return SharedStore(self, slot, int(replica_id),
-                                   n_nodes, n_links)
-            if free is None:
-                raise CapacityError(
-                    f"fleet ledger registry is full ({spec.max_networks} "
-                    "networks); raise the supervisor's max_networks")
-            arrays = self._slot_arrays(free)
-            arrays["node_capacity"][:] = 0.0
-            arrays["link_capacity"][:] = 0.0
-            arrays["node_capacity"][:n_nodes] = node_capacity
-            arrays["link_capacity"][:n_links] = link_capacity
-            arrays["node_remaining"][:] = arrays["node_capacity"]
-            arrays["link_remaining"][:] = arrays["link_capacity"]
-            arrays["node_held"][:] = 0.0
-            arrays["link_held"][:] = 0.0
-            self._write_slot_digest(free, digest)
-            meta = self._slot_meta(free)
-            meta[1], meta[2] = float(n_nodes), float(n_links)
-            meta[0] = 1.0  # published last: the slot is fully initialised
-            return SharedStore(self, free, int(replica_id), n_nodes, n_links)
-
-    # ------------------------------------------------------------------ #
-    # Supervisor side
-    # ------------------------------------------------------------------ #
-    def release_replica(self, replica_id: int) -> float:
-        """Refund a dead replica's journalled holdings on every slot.
-
-        Returns the total capacity refunded (ops/s + bits/s, only useful as
-        a "was anything held" signal); bumps the slab's ``released_total``
-        once per reap that actually refunded something.  Idempotent: a
-        second call finds zeroed journals and refunds nothing.
-        """
-        spec = self.spec
-        if not 0 <= int(replica_id) < spec.replicas:
-            raise SpecificationError(
-                f"replica_id must be in [0, {spec.replicas}), got "
-                f"{replica_id!r}")
-        refunded = 0.0
-        with self._lock:
-            for slot in range(spec.max_networks):
-                if not self._slot_meta(slot)[0]:
-                    continue
-                arrays = self._slot_arrays(slot)
-                node_row = arrays["node_held"][int(replica_id)]
-                link_row = arrays["link_held"][int(replica_id)]
-                refunded += float(node_row.sum()) + float(link_row.sum())
-                arrays["node_remaining"] += node_row
-                arrays["link_remaining"] += link_row
-                node_row[:] = 0.0
-                link_row[:] = 0.0
-            if refunded > 0.0:
-                self._header()[1] += 1.0
-        return refunded
-
-    def occupancy(self) -> Dict[str, float]:
-        """Raw fleet-wide sums for the healthz occupancy block.
-
-        Keys: ``networks`` (slots in use), ``node_capacity`` /
-        ``node_remaining`` / ``link_capacity`` / ``link_remaining`` (summed
-        over slots, the resource units) and ``released_total`` (crash
-        -release reaps that refunded holdings).  The service layer turns
-        these into residual/occupancy fractions
-        (:func:`repro.service.wire.occupancy_to_wire`).
-        """
-        totals = {"networks": 0.0, "node_capacity": 0.0,
-                  "node_remaining": 0.0, "link_capacity": 0.0,
-                  "link_remaining": 0.0}
-        with self._lock:
-            for slot in range(self.spec.max_networks):
-                meta = self._slot_meta(slot)
-                if not meta[0]:
-                    continue
-                n_nodes, n_links = int(meta[1]), int(meta[2])
-                arrays = self._slot_arrays(slot)
-                totals["networks"] += 1.0
-                totals["node_capacity"] += float(
-                    arrays["node_capacity"][:n_nodes].sum())
-                totals["node_remaining"] += float(
-                    arrays["node_remaining"][:n_nodes].sum())
-                totals["link_capacity"] += float(
-                    arrays["link_capacity"][:n_links].sum())
-                totals["link_remaining"] += float(
-                    arrays["link_remaining"][:n_links].sum())
-            totals["released_total"] = float(self._header()[1])
-        return totals
-
-
-class SharedStore(LedgerStore):
-    """One replica's handle on one :class:`SharedLedger` network slot.
-
-    ``node_remaining``/``link_remaining`` are live views into the shared
-    slab — every replica's commits are immediately visible to every other.
-    :meth:`charge`/:meth:`refund` additionally maintain this replica's
-    holdings-journal row, the supervisor's crash-release ground truth.
-    """
-
-    kind = "shared"
-
-    def __init__(self, ledger: SharedLedger, slot: int, replica_id: int,
-                 n_nodes: int, n_links: int) -> None:
-        self.ledger = ledger
-        self.slot = int(slot)
-        self.replica_id = int(replica_id)
-        arrays = ledger._slot_arrays(self.slot)
-        self.node_remaining = arrays["node_remaining"][:n_nodes]
-        self.link_remaining = arrays["link_remaining"][:n_links]
-        self._node_held = arrays["node_held"][self.replica_id][:n_nodes]
-        self._link_held = arrays["link_held"][self.replica_id][:n_links]
-
-    @property
-    def lock(self):
-        return self.ledger.lock
-
-    def charge(self, node_deltas, link_deltas) -> None:
-        for index, amount in node_deltas:
-            self.node_remaining[index] -= amount
-            self._node_held[index] += amount
-        for index, amount in link_deltas:
-            self.link_remaining[index] -= amount
-            self._link_held[index] += amount
-
-    def refund(self, node_deltas, link_deltas) -> None:
-        for index, amount in node_deltas:
-            self.node_remaining[index] += amount
-            self._node_held[index] -= amount
-        for index, amount in link_deltas:
-            self.link_remaining[index] += amount
-            self._link_held[index] -= amount
-
-    def restore_remaining(self, node_values, link_values,
-                          node_delta, link_delta) -> None:
-        # Shared budgets: other replicas may have committed since the
-        # snapshot, so only this committer's own growth is refunded — the
-        # absolute snapshot arrays would clobber the rest of the fleet.
-        self.node_remaining += node_delta
-        self.link_remaining += link_delta
-        self._node_held -= node_delta
-        self._link_held -= link_delta
-
-    def total_used(self, node_capacity, link_capacity,
-                   own_node_used, own_link_used):
-        arrays = self.ledger._slot_arrays(self.slot)
-        n_nodes, n_links = len(self.node_remaining), len(self.link_remaining)
-        if not (np.allclose(self._node_held, own_node_used,
-                            rtol=1e-6, atol=1e-6)
-                and np.allclose(self._link_held, own_link_used,
-                                rtol=1e-6, atol=1e-6)):
-            raise CapacityError(
-                "this replica's holdings journal disagrees with its "
-                "committed demands (ledger bookkeeping bug)")
-        node_total = arrays["node_held"][:, :n_nodes].sum(axis=0)
-        link_total = arrays["link_held"][:, :n_links].sum(axis=0)
-        return node_total, link_total
-
-    def close(self) -> None:
-        self.node_remaining = self.link_remaining = None  # drop slab views
-        self._node_held = self._link_held = None
-
 
 class _LinkBudgetView(Mapping):
-    """Live dict-like face of the store's link-remaining array.
+    """Live dict-like face of a ledger's link-remaining array.
 
-    Keeps ``cluster.link_remaining[key]`` / ``.items()`` working unchanged
-    while the budgets themselves live in the store.  Item assignment writes
-    through (the drain-a-link test pattern); keys are the ledger's canonical
-    undirected link keys in capacity order.
+    Keeps ``cluster.link_remaining[key]`` / ``.items()`` working like a dict
+    while the budgets themselves live in one float64 array.  Item assignment
+    writes through (the drain-a-link test pattern); keys are the ledger's
+    canonical undirected link keys in capacity order.
     """
 
     def __init__(self, keys: Sequence[Tuple[NodeId, NodeId]],
                  index: Dict[Tuple[NodeId, NodeId], int],
-                 store: LedgerStore) -> None:
+                 values: np.ndarray) -> None:
         self._keys = keys
         self._index = index
-        self._store = store
+        self._values = values
 
     def __getitem__(self, key: Tuple[NodeId, NodeId]) -> float:
-        return float(self._store.link_remaining[self._index[key]])
+        return float(self._values[self._index[key]])
 
     def __setitem__(self, key: Tuple[NodeId, NodeId], value: float) -> None:
-        self._store.link_remaining[self._index[key]] = float(value)
+        self._values[self._index[key]] = float(value)
 
     def __iter__(self) -> Iterator[Tuple[NodeId, NodeId]]:
         return iter(self._keys)
@@ -691,20 +169,14 @@ class ClusterState:
     :meth:`demand_of` → :meth:`fits` / :meth:`violations` → :meth:`commit` /
     :meth:`release`, with :meth:`snapshot` / :meth:`restore` bracketing any
     speculative sequence.  All arrays are indexed like the network's dense
-    view (``view.index_of[node_id]``).
-
-    Storage is delegated to a :class:`LedgerStore` (see the module notes):
-    by default a private :class:`LocalStore`; pass ``store_factory`` — a
-    callable ``(node_capacity, link_capacity, link_keys) -> LedgerStore`` —
-    to back the ledger with e.g. a :meth:`SharedLedger.store_for` slot so
-    several processes charge one set of budgets.
+    view (``view.index_of[node_id]``).  Every compound read-modify-write
+    holds the ledger's own ``threading.RLock``, so concurrent committers in
+    one process cannot jointly overdraw a budget both saw as free.
     """
 
     def __init__(self, network: TransportNetwork,
                  node_capacity: np.ndarray,
-                 link_capacity: Dict[Tuple[NodeId, NodeId], float],
-                 store_factory: Optional[Callable[..., LedgerStore]] = None
-                 ) -> None:
+                 link_capacity: Dict[Tuple[NodeId, NodeId], float]) -> None:
         self.network = network
         self.view = network.dense_view()
         self.node_capacity = np.asarray(node_capacity, dtype=float).copy()
@@ -719,18 +191,16 @@ class ClusterState:
             if cap < 0:
                 raise SpecificationError(
                     f"link capacity of {key} must be >= 0, got {cap!r}")
-        self._rebuild_link_layout()
-        link_cap_arr = np.array(
+        self._link_keys: List[Tuple[NodeId, NodeId]] = list(self.link_capacity)
+        self._link_index: Dict[Tuple[NodeId, NodeId], int] = {
+            key: i for i, key in enumerate(self._link_keys)}
+        #: Live per-node remaining budgets (dense-view order), ops/s.
+        self.node_remaining = self.node_capacity.copy()
+        self._link_remaining = np.array(
             [self.link_capacity[key] for key in self._link_keys], dtype=float)
-        if store_factory is not None:
-            self._store = store_factory(self.node_capacity, link_cap_arr,
-                                        list(self._link_keys))
-        else:
-            self._store = LocalStore(self.node_capacity, link_cap_arr)
+        self._lock = threading.RLock()
         #: Every currently-committed demand, in commit order (the validator's
-        #: ground truth; release removes the entry by identity).  Per holder:
-        #: a shared store's other replicas keep their own lists (and
-        #: journals).
+        #: ground truth; release removes the entry by identity).
         self.committed: List[PlacementDemand] = []
         self.commits_total = 0
         self.releases_total = 0
@@ -740,39 +210,11 @@ class ClusterState:
         self._capacity_policy: Optional[Dict[str, Any]] = None
         self.rebases_total = 0
 
-    def _rebuild_link_layout(self) -> None:
-        self._link_keys: List[Tuple[NodeId, NodeId]] = list(self.link_capacity)
-        self._link_index: Dict[Tuple[NodeId, NodeId], int] = {
-            key: i for i, key in enumerate(self._link_keys)}
-
-    # ------------------------------------------------------------------ #
-    # Storage seam accessors
-    # ------------------------------------------------------------------ #
-    @property
-    def store(self) -> LedgerStore:
-        """The :class:`LedgerStore` this ledger reads and writes through."""
-        return self._store
-
-    @property
-    def node_remaining(self) -> np.ndarray:
-        """Live per-node remaining budgets (dense-view order), ops/s."""
-        return self._store.node_remaining
-
-    @node_remaining.setter
-    def node_remaining(self, values) -> None:
-        self._store.node_remaining[:] = np.asarray(values, dtype=float)
-
     @property
     def link_remaining(self) -> _LinkBudgetView:
         """Live per-link remaining budgets as a mapping over canonical keys."""
-        return _LinkBudgetView(self._link_keys, self._link_index, self._store)
-
-    @link_remaining.setter
-    def link_remaining(self, values: Mapping[Tuple[NodeId, NodeId], float]
-                       ) -> None:
-        arr = self._store.link_remaining
-        for key, value in values.items():
-            arr[self._link_index[key]] = float(value)
+        return _LinkBudgetView(self._link_keys, self._link_index,
+                               self._link_remaining)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -783,9 +225,8 @@ class ClusterState:
                      link_capacity_factor: float = 1.0,
                      node_capacity: Optional[Mapping[NodeId, float]] = None,
                      link_capacity: Optional[Mapping[Tuple[NodeId, NodeId],
-                                                     float]] = None,
-                     store_factory: Optional[Callable[..., LedgerStore]]
-                     = None) -> "ClusterState":
+                                                     float]] = None
+                     ) -> "ClusterState":
         """Budgets derived from the network's own powers and bandwidths.
 
         Defaults: node budget = ``power * 1e6 * node_capacity_factor`` ops/s
@@ -795,8 +236,7 @@ class ClusterState:
         deliberate oversubscription.  Explicit per-node / per-link overrides
         (``node_capacity`` / ``link_capacity`` mappings) replace the derived
         value for the listed entries only — the zero-capacity-node tests use
-        this to drain individual nodes.  ``store_factory`` passes through to
-        the constructor (shared fleet ledgers; default private LocalStore).
+        this to drain individual nodes.
         """
         if node_capacity_factor < 0 or link_capacity_factor < 0:
             raise SpecificationError("capacity factors must be >= 0")
@@ -820,7 +260,7 @@ class ClusterState:
                     raise SpecificationError(
                         f"link_capacity names unknown link {raw_key!r}")
                 link_cap[key] = float(cap)
-        state = cls(network, node_cap, link_cap, store_factory=store_factory)
+        state = cls(network, node_cap, link_cap)
         state._capacity_policy = {
             "node_capacity_factor": float(node_capacity_factor),
             "link_capacity_factor": float(link_capacity_factor),
@@ -840,22 +280,20 @@ class ClusterState:
         After the network drifts through scalar edits (or is structurally
         rebuilt), a :meth:`from_network` ledger can rebase instead of being
         thrown away: capacities are recomputed with the stored policy
-        (factors + overrides), every committed demand is **replayed onto the
-        new budgets** — admissions survive the drift — and the remaining
-        arrays are re-derived as ``capacity − Σ committed``.  Returns the
-        budgets the surviving commitments now overdraw (capacity shrank under
-        load); callers decide whether to evict (:meth:`release`) or tolerate
-        the debt.  A no-op (empty list) when the view is unchanged.
-
-        Local-store only: a shared fleet ledger cannot be rebased by one
-        replica (the other replicas' holdings are not its to replay);
-        capacity drift under replicated admission needs a fleet restart.
+        (factors + overrides) and every surviving node or link budget moves
+        by exactly its capacity change, so the commitments it carries —
+        admissions survive the drift — stay charged and an unchanged budget
+        stays bit-identical.  The cost is one pass over nodes and links, not
+        over the committed demands.  Returns the budgets the surviving
+        commitments now overdraw (capacity shrank under load); callers
+        decide whether to evict (:meth:`release`) or tolerate the debt.  A
+        no-op (empty list) when the view is unchanged.
 
         Raises
         ------
         SpecificationError
             If the ledger was built with explicit capacity arrays (no stored
-            policy to re-derive from), or its store is shared.
+            policy to re-derive from).
         CapacityError
             If a committed demand names a node or link the drifted network no
             longer has — structural churn must release placements first.
@@ -864,78 +302,81 @@ class ClusterState:
             raise SpecificationError(
                 "this ledger was built from explicit capacity arrays; only "
                 "ClusterState.from_network ledgers can rebase()")
-        if self._store.kind == "shared":
-            raise SpecificationError(
-                "a shared fleet ledger cannot rebase(): other replicas' "
-                "holdings are not this one's to replay — restart the fleet "
-                "to change admission capacities")
-        view = self.network.dense_view()
-        if view is self.view:
-            return []
-        policy = self._capacity_policy
-        fresh = ClusterState.from_network(
-            self.network,
-            node_capacity_factor=policy["node_capacity_factor"],
-            link_capacity_factor=policy["link_capacity_factor"],
-            node_capacity=policy["node_capacity"] or None,
-            link_capacity=policy["link_capacity"] or None)
-        for demand in self.committed:
-            for node_id in demand.nodes:
-                if node_id not in fresh.view.index_of:
+        with self._lock:
+            view = self.network.dense_view()
+            if view is self.view:
+                return []
+            policy = self._capacity_policy
+            fresh = ClusterState.from_network(
+                self.network,
+                node_capacity_factor=policy["node_capacity_factor"],
+                link_capacity_factor=policy["link_capacity_factor"],
+                node_capacity=policy["node_capacity"] or None,
+                link_capacity=policy["link_capacity"] or None)
+            gone_nodes = set(self.view.index_of) - set(fresh.view.index_of)
+            gone_links = set(self.link_capacity) - set(fresh.link_capacity)
+            for demand in self.committed if gone_nodes or gone_links else ():
+                for node_id in gone_nodes.intersection(demand.nodes):
                     raise CapacityError(
-                        f"committed demand draws on node {node_id!r}, which "
+                        f"committed demand draws on node {node_id!r}, "
+                        "which the drifted network no longer has — "
+                        "release the placement before rebasing")
+                for key in gone_links.intersection(demand.links):
+                    raise CapacityError(
+                        f"committed demand draws on link {key!r}, which "
                         "the drifted network no longer has — release the "
                         "placement before rebasing")
-            for key in demand.links:
-                if key not in fresh.link_capacity:
-                    raise CapacityError(
-                        f"committed demand draws on link {key!r}, which the "
-                        "drifted network no longer has — release the "
-                        "placement before rebasing")
-        self.view = fresh.view
-        self.node_capacity = fresh.node_capacity
-        self.link_capacity = fresh.link_capacity
-        self._rebuild_link_layout()
-        node_used = np.zeros_like(self.node_capacity)
-        link_used: Dict[Tuple[NodeId, NodeId], float] = {}
-        for demand in self.committed:
-            for node_id, needed in demand.nodes.items():
-                node_used[self.view.index_of[node_id]] += needed
-            for key, needed in demand.links.items():
-                link_used[key] = link_used.get(key, 0.0) + needed
-        # The drifted geometry may have a different link set: swap in a fresh
-        # local store sized to it, holding the re-derived residual budgets.
-        self._store = LocalStore(
-            self.node_capacity - node_used,
-            np.array([self.link_capacity[key] - link_used.get(key, 0.0)
-                      for key in self._link_keys], dtype=float))
-        violations: List[CapacityViolation] = []
-        for index in np.flatnonzero(
-                node_used > self.node_capacity
-                + np.maximum(_REL_SLACK, _REL_SLACK * self.node_capacity)):
-            node_id = self.view.node_ids[int(index)]
-            violations.append(CapacityViolation(
-                "node", node_id, float(node_used[index]),
-                float(self.node_capacity[index] - node_used[index])))
-        for key, used in link_used.items():
-            cap = self.link_capacity[key]
-            if used > cap + self._slack(cap):
+            # fresh's budgets are its full capacities; shift each surviving
+            # one down by what this ledger has drawn from it.
+            for node_id, old in self.view.index_of.items():
+                new = fresh.view.index_of.get(node_id)
+                if new is not None:
+                    fresh.node_remaining[new] = self.node_remaining[old] + (
+                        fresh.node_capacity[new] - self.node_capacity[old])
+            for key, old in self._link_index.items():
+                new = fresh._link_index.get(key)
+                if new is not None:
+                    fresh._link_remaining[new] = self._link_remaining[old] + (
+                        fresh.link_capacity[key] - self.link_capacity[key])
+            self.view = fresh.view
+            self.node_capacity = fresh.node_capacity
+            self.link_capacity = fresh.link_capacity
+            self._link_keys = fresh._link_keys
+            self._link_index = fresh._link_index
+            self.node_remaining = fresh.node_remaining
+            self._link_remaining = fresh._link_remaining
+            violations: List[CapacityViolation] = []
+            for index in np.flatnonzero(
+                    self.node_remaining
+                    < -np.maximum(_REL_SLACK,
+                                  _REL_SLACK * self.node_capacity)):
+                remaining = float(self.node_remaining[index])
                 violations.append(CapacityViolation(
-                    "link", key, used, cap - used))
-        self.rebases_total += 1
+                    "node", self.view.node_ids[int(index)],
+                    float(self.node_capacity[index]) - remaining, remaining))
+            for index, key in enumerate(self._link_keys):
+                remaining = float(self._link_remaining[index])
+                cap = self.link_capacity[key]
+                if remaining < -self._slack(cap):
+                    violations.append(CapacityViolation(
+                        "link", key, cap - remaining, remaining))
+            self.rebases_total += 1
         return violations
 
     # ------------------------------------------------------------------ #
     # Demand model
     # ------------------------------------------------------------------ #
-    def demand_of(self, mapping: PipelineMapping, *,
+    @staticmethod
+    def demand_of(mapping: PipelineMapping, *,
                   demand_fps: float = 1.0) -> PlacementDemand:
         """The steady-state demand of ``mapping`` streaming at ``demand_fps``.
 
         Node demand pools every visit of a reused node (the same aggregation
         :func:`repro.model.cost.bottleneck_time_ms` applies with
         ``account_node_sharing=True``); link demand pools every crossing of a
-        link in either direction.
+        link in either direction.  A pure function of the mapping, so a
+        caller without a ledger (a fleet replica) computes demands the same
+        way the ledger's owner would.
         """
         if demand_fps < 0:
             raise SpecificationError(
@@ -963,7 +404,7 @@ class ClusterState:
     # ------------------------------------------------------------------ #
     def remaining_node(self, node_id: NodeId) -> float:
         """Remaining compute budget of a node, ops/s."""
-        return float(self._store.node_remaining[self.view.index_of[node_id]])
+        return float(self.node_remaining[self.view.index_of[node_id]])
 
     def remaining_link(self, u: NodeId, v: NodeId) -> float:
         """Remaining bandwidth budget of the undirected link ``u``–``v``, bits/s."""
@@ -971,7 +412,7 @@ class ClusterState:
             index = self._link_index[_link_key(u, v)]
         except KeyError:
             raise SpecificationError(f"no link {u}–{v} in the cluster") from None
-        return float(self._store.link_remaining[index])
+        return float(self._link_remaining[index])
 
     def node_slack(self, node_id: NodeId) -> float:
         """The admission slack of a node's budget comparisons."""
@@ -988,20 +429,20 @@ class ClusterState:
         """``(node_id, remaining, slack)`` per node — one consistent read.
 
         The placers' prefilters iterate this instead of reaching into the
-        remaining arrays; the whole scan happens under the store lock, so a
-        shared store cannot change mid-iteration.
+        remaining arrays; the whole scan holds the ledger lock, so a
+        concurrent committer cannot change it mid-iteration.
         """
-        with self._store.lock:
+        with self._lock:
             return [(node_id,
-                     float(self._store.node_remaining[index]),
+                     float(self.node_remaining[index]),
                      self._slack(self.node_capacity[index]))
                     for index, node_id in enumerate(self.view.node_ids)]
 
     def link_budgets(self) -> List[Tuple[Tuple[NodeId, NodeId], float, float]]:
         """``(link_key, remaining, slack)`` per link — one consistent read."""
-        with self._store.lock:
+        with self._lock:
             return [(key,
-                     float(self._store.link_remaining[index]),
+                     float(self._link_remaining[index]),
                      self._slack(self.link_capacity[key]))
                     for index, key in enumerate(self._link_keys)]
 
@@ -1009,11 +450,10 @@ class ClusterState:
         """A consistent *copy* of the per-node remaining budgets.
 
         The flow placer builds its arc capacities from this one read instead
-        of sampling the live array per arc — against a shared store the live
-        array can move between arcs.
+        of sampling the live array per arc.
         """
-        with self._store.lock:
-            return self._store.node_remaining.copy()
+        with self._lock:
+            return self.node_remaining.copy()
 
     def _slack(self, capacity: float) -> float:
         return max(_REL_SLACK, _REL_SLACK * capacity)
@@ -1021,13 +461,13 @@ class ClusterState:
     def violations(self, demand: PlacementDemand) -> List[CapacityViolation]:
         """Every budget ``demand`` would overdraw (empty = it fits)."""
         out: List[CapacityViolation] = []
-        with self._store.lock:
+        with self._lock:
             for node_id, needed in demand.nodes.items():
                 index = self.view.index_of.get(node_id)
                 if index is None:
                     raise SpecificationError(
                         f"demand names unknown node {node_id!r}")
-                remaining = float(self._store.node_remaining[index])
+                remaining = float(self.node_remaining[index])
                 if needed > remaining + self._slack(self.node_capacity[index]):
                     out.append(CapacityViolation("node", node_id, needed,
                                                  remaining))
@@ -1036,7 +476,7 @@ class ClusterState:
                 if link_index is None:
                     raise SpecificationError(
                         f"demand names unknown link {key!r}")
-                remaining = float(self._store.link_remaining[link_index])
+                remaining = float(self._link_remaining[link_index])
                 if needed > remaining + self._slack(self.link_capacity[key]):
                     out.append(CapacityViolation("link", key, needed,
                                                  remaining))
@@ -1056,21 +496,18 @@ class ClusterState:
         any budget — when one component does not fit; the message lists every
         violated budget so rejection reasons are actionable.  Returns the
         demand so callers can retain it for a later :meth:`release`.  The
-        check-then-charge sequence holds the store lock, so concurrent
-        committers (threads, or replicas on a shared store) cannot jointly
-        overdraw a budget both saw as free.
+        check-then-charge sequence holds the ledger lock.
         """
-        with self._store.lock:
+        with self._lock:
             violations = self.violations(demand)
             if violations:
                 raise CapacityError(
                     "placement exceeds remaining cluster capacity: "
                     + "; ".join(v.describe() for v in violations))
-            self._store.charge(
-                [(self.view.index_of[node_id], needed)
-                 for node_id, needed in demand.nodes.items()],
-                [(self._link_index[key], needed)
-                 for key, needed in demand.links.items()])
+            for node_id, needed in demand.nodes.items():
+                self.node_remaining[self.view.index_of[node_id]] -= needed
+            for key, needed in demand.links.items():
+                self._link_remaining[self._link_index[key]] -= needed
             self.committed.append(demand)
             self.commits_total += 1
         return demand
@@ -1082,64 +519,56 @@ class ClusterState:
         identity — the object :meth:`commit` returned); anything else raises
         :class:`SpecificationError` rather than silently inflating capacity.
         """
-        with self._store.lock:
-            for i, entry in enumerate(self.committed):
-                if entry is demand:
-                    del self.committed[i]
-                    break
-            else:
+        self.release_many([demand])
+
+    def release_many(self, demands: Sequence[PlacementDemand]) -> None:
+        """:meth:`release` several committed demands in one pass.
+
+        One scan of :attr:`committed` however many demands go back, so a
+        holder's whole book is returned in linear time.  Each listed demand
+        removes one committed occurrence of that object.  All-or-nothing: if
+        any is not currently committed, :class:`SpecificationError` is raised
+        before anything is refunded.
+        """
+        pending = Counter(id(demand) for demand in demands)
+        with self._lock:
+            kept: List[PlacementDemand] = []
+            for entry in self.committed:
+                if pending[id(entry)]:
+                    pending[id(entry)] -= 1
+                else:
+                    kept.append(entry)
+            if any(pending.values()):
                 raise SpecificationError(
                     "release() got a demand that is not currently committed")
-            self._store.refund(
-                [(self.view.index_of[node_id], needed)
-                 for node_id, needed in demand.nodes.items()],
-                [(self._link_index[key], needed)
-                 for key, needed in demand.links.items()])
-            self.releases_total += 1
-
-    def _usage_arrays(self, demands: Iterable[PlacementDemand]
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Summed node/link usage of a demand list, in store array layout."""
-        node_used = np.zeros_like(self.node_capacity)
-        link_used = np.zeros(len(self._link_keys), dtype=float)
-        for demand in demands:
-            for node_id, needed in demand.nodes.items():
-                node_used[self.view.index_of[node_id]] += needed
-            for key, needed in demand.links.items():
-                link_used[self._link_index[key]] += needed
-        return node_used, link_used
+            self.committed = kept
+            for demand in demands:
+                for node_id, needed in demand.nodes.items():
+                    self.node_remaining[self.view.index_of[node_id]] += needed
+                for key, needed in demand.links.items():
+                    self._link_remaining[self._link_index[key]] += needed
+            self.releases_total += len(demands)
 
     def snapshot(self) -> _Snapshot:
         """A restorable copy of the ledger's entire mutable state.
 
         The whole copy — both budget arrays and the committed list — is
-        taken under the store lock, so a concurrent committer can never
+        taken under the ledger lock, so a concurrent committer can never
         produce a torn snapshot (budgets from after a commit paired with a
         committed list from before it).
         """
-        with self._store.lock:
+        with self._lock:
             return _Snapshot(
-                node_remaining=self._store.node_remaining.copy(),
-                link_remaining={key: float(self._store.link_remaining[index])
-                                for index, key in enumerate(self._link_keys)},
+                node_remaining=self.node_remaining.copy(),
+                link_remaining=dict(self.link_remaining),
                 committed=tuple(self.committed))
 
     def restore(self, snap: _Snapshot) -> None:
-        """Roll the ledger back to a :meth:`snapshot` (budgets and commits).
-
-        On a private local store the snapshot arrays are restored verbatim.
-        On a shared store only *this holder's* usage growth since the
-        snapshot is refunded — commits other replicas made in between stay
-        charged (they are not this ledger's to roll back).
-        """
-        with self._store.lock:
-            now_nodes, now_links = self._usage_arrays(self.committed)
-            snap_nodes, snap_links = self._usage_arrays(snap.committed)
-            self._store.restore_remaining(
-                np.asarray(snap.node_remaining, dtype=float),
-                np.array([snap.link_remaining[key]
-                          for key in self._link_keys], dtype=float),
-                now_nodes - snap_nodes, now_links - snap_links)
+        """Roll the ledger back to a :meth:`snapshot` (budgets and commits)."""
+        with self._lock:
+            self.node_remaining[:] = snap.node_remaining
+            self._link_remaining[:] = [snap.link_remaining[key]
+                                       for key in self._link_keys]
             self.committed = list(snap.committed)
 
     # ------------------------------------------------------------------ #
@@ -1151,18 +580,15 @@ class ClusterState:
         Raises :class:`~repro.exceptions.CapacityError` when a budget is
         overdrawn or the remaining arrays disagree with the committed-demand
         ground truth (which would mean a bookkeeping bug, not a bad input).
-        Against a shared store the committed ground truth is fleet-wide: the
-        sum of every replica's holdings journal, with this replica's row
-        additionally cross-checked against its own committed list.
         """
-        with self._store.lock:
-            own_node_used, own_link_used = self._usage_arrays(self.committed)
-            link_cap_arr = np.array(
-                [self.link_capacity[key] for key in self._link_keys],
-                dtype=float)
-            node_used, link_used = self._store.total_used(
-                self.node_capacity, link_cap_arr,
-                own_node_used, own_link_used)
+        with self._lock:
+            node_used = np.zeros_like(self.node_capacity)
+            link_used = np.zeros(len(self._link_keys), dtype=float)
+            for demand in self.committed:
+                for node_id, needed in demand.nodes.items():
+                    node_used[self.view.index_of[node_id]] += needed
+                for key, needed in demand.links.items():
+                    link_used[self._link_index[key]] += needed
             slack = np.maximum(_REL_SLACK, _REL_SLACK * self.node_capacity)
             if np.any(node_used > self.node_capacity + slack):
                 index = int(np.argmax(node_used - self.node_capacity))
@@ -1171,7 +597,7 @@ class ClusterState:
                     f"{node_used[index]:.6g} ops/s committed against a "
                     f"capacity of {self.node_capacity[index]:.6g}")
             expected = self.node_capacity - node_used
-            if not np.allclose(self._store.node_remaining, expected,
+            if not np.allclose(self.node_remaining, expected,
                                rtol=1e-6, atol=1e-6):
                 raise CapacityError(
                     "node_remaining disagrees with the committed demands "
@@ -1183,27 +609,21 @@ class ClusterState:
                     raise CapacityError(
                         f"link {key} is overdrawn: {used:.6g} bits/s "
                         f"committed against a capacity of {cap:.6g}")
-                if abs(float(self._store.link_remaining[index])
+                if abs(float(self._link_remaining[index])
                        - (cap - used)) > max(1e-6, 1e-6 * cap):
                     raise CapacityError(
                         f"link_remaining[{key}] disagrees with the committed "
                         "demands (ledger bookkeeping bug)")
 
     def utilization(self) -> Dict[str, float]:
-        """Aggregate utilisation summary (for ``repro place`` and healthz).
-
-        Against a shared store the used fractions are fleet-wide (capacity −
-        the shared remaining covers every replica's commits), while
-        ``committed`` counts only this holder's demands.
-        """
-        with self._store.lock:
+        """Aggregate utilisation summary (for ``repro place`` and healthz)."""
+        with self._lock:
             node_cap = float(self.node_capacity.sum())
-            node_used = float(
-                (self.node_capacity - self._store.node_remaining).sum())
+            node_used = float((self.node_capacity - self.node_remaining).sum())
             link_cap = float(sum(self.link_capacity.values()))
-            link_used = link_cap - float(self._store.link_remaining.sum())
-            node_remaining_min = (float(self._store.node_remaining.min())
-                                  if len(self._store.node_remaining) else 0.0)
+            link_used = link_cap - float(self._link_remaining.sum())
+            node_remaining_min = (float(self.node_remaining.min())
+                                  if len(self.node_remaining) else 0.0)
         return {
             "committed": float(len(self.committed)),
             "node_utilization": node_used / node_cap if node_cap else 0.0,
@@ -1219,8 +639,7 @@ def validate_placements(items: Iterable, cluster: ClusterState,
     ``items`` is any iterable of objects carrying ``mapping`` and
     ``demand_fps`` attributes (:class:`repro.placement.PlacementItem`;
     rejected items with ``mapping=None`` are skipped).  A fresh
-    :class:`ClusterState` with the same capacities as ``cluster`` is built
-    (always on a private :class:`LocalStore`, whatever backed the original),
+    :class:`ClusterState` with the same capacities as ``cluster`` is built,
     every admitted mapping's demand is *recomputed from the mapping itself*
     and committed in order — so the check is independent of whatever demands
     the placer recorded — and :class:`~repro.exceptions.CapacityError`

@@ -39,7 +39,9 @@ from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.batch import SolveOptions, solve_many
-from ..exceptions import CapacityError, ReproError, SpecificationError
+from ..exceptions import ReproError, SpecificationError
+from ..placement import ClusterState
+from .admission import AdmissionBook
 from .wire import (SUPPORTED_SCHEMAS, WIRE_SCHEMA, NetworkInterner,
                    SolveRequest, error_response, item_result_to_wire,
                    occupancy_to_wire)
@@ -184,7 +186,7 @@ class SolveService:
     def __init__(self, config: Optional[ServiceConfig] = None, *,
                  options: Optional[SolveOptions] = None,
                  replica_id: int = 0,
-                 fleet_ledger: Optional[Any] = None) -> None:
+                 admission: Optional[Any] = None) -> None:
         self.config = config or ServiceConfig()
         #: Which pre-fork replica this service runs in (0 for a single
         #: process).  Stamped into every response and the healthz payload;
@@ -192,14 +194,6 @@ class SolveService:
         #: dispatch state — the pending queue, the flush executor and the
         #: network interner — is never shared across replicas.
         self.replica_id = int(replica_id)
-        #: The fleet's shared admission slab
-        #: (:class:`repro.placement.SharedLedger`, already attached), or
-        #: ``None`` for private per-service ledgers.  When set, admission
-        #: ledgers are backed by :class:`repro.placement.SharedStore` slots
-        #: keyed by the network's wire ref, so every replica charges the
-        #: same budgets — an N-replica fleet admits exactly what one ledger
-        #: allows.
-        self.fleet_ledger = fleet_ledger
         if options is not None:
             # Late options merge: same rules as ServiceConfig(options=...),
             # re-validated by the replacement config's __post_init__.
@@ -212,6 +206,16 @@ class SolveService:
                     "carries a different options bundle")
             self.config = dataclasses.replace(self.config, options=options)
         self.interner = NetworkInterner(max_entries=self.config.intern_networks)
+        #: Who owns the admission ledgers: this service's own
+        #: :class:`~repro.service.admission.AdmissionBook` by default, or —
+        #: in a pre-fork fleet replica — an
+        #: :class:`~repro.service.admission.AdmissionPipe` to the one book
+        #: the supervisor holds, so N replicas admit exactly what one would.
+        #: ``None`` when admission control is off.  Commitments persist for
+        #: the service lifetime: an admitted tenant holds its capacity.
+        if admission is None and self.config.admission_control:
+            admission = AdmissionBook(self.config.admission_capacity_factor)
+        self.admission = admission
         self._pending: List[_Pending] = []
         self._wake: Optional[asyncio.Event] = None
         self._flusher: Optional["asyncio.Task"] = None
@@ -234,10 +238,6 @@ class SolveService:
         #: being dispatched, summed over requests.
         self.queue_wait_s_total = 0.0
         self.queue_wait_s_max = 0.0
-        #: Admission-control state: one capacity ledger per interned network
-        #: (keyed by network ref), populated lazily; commitments persist for
-        #: the service lifetime — an admitted tenant holds its capacity.
-        self._ledgers: Dict[str, Any] = {}
         self.admitted_total = 0
         self.rejected_total = 0
         #: Incremental-view state (``POST /delta``): base refs whose interned
@@ -382,10 +382,9 @@ class SolveService:
         network, new_ref, applied = self.interner.apply_delta(ref, edits)
         rebased = False
         violations: List[Any] = []
-        ledger = self._ledgers.get(ref.split("@", 1)[0])
-        if ledger is not None and ledger.network is network:
-            violations = ledger.rebase()
-            rebased = True
+        if self.admission is not None:
+            rebased, violations = self.admission.rebase(ref.split("@", 1)[0],
+                                                        network)
         return network, new_ref, applied, rebased, violations
 
     @property
@@ -439,13 +438,11 @@ class SolveService:
         payload["staleness_ms_mean"] = (
             self.staleness_s_total * 1e3 / self.staleness_samples
             if self.staleness_samples else 0.0)
-        if self.config.admission_control:
-            payload["admission_ledgers"] = len(self._ledgers)
-            payload["admission_store"] = ("shared"
-                                          if self.fleet_ledger is not None
-                                          else "local")
-            payload["admission_occupancy"] = occupancy_to_wire(
-                self._occupancy_raw())
+        if self.admission is not None:
+            occupancy = self.admission.occupancy()
+            payload["admission_ledgers"] = int(occupancy["networks"])
+            payload["admission_store"] = self.admission.kind
+            payload["admission_occupancy"] = occupancy_to_wire(occupancy)
         if self._runner is not None:
             payload["runner"] = self._runner.stats()
         return payload
@@ -561,7 +558,7 @@ class SolveService:
             self.responses_total += len(entries)
             return
         self._record_incremental(entries)
-        if self.config.admission_control:
+        if self.admission is not None:
             responses = self._admit(entries, result)
             for (request, future, _arrived), response in zip(entries, responses):
                 if not future.done():
@@ -610,101 +607,55 @@ class SolveService:
     # ------------------------------------------------------------------ #
     # Admission control
     # ------------------------------------------------------------------ #
-    def _occupancy_raw(self) -> Dict[str, float]:
-        """Raw ledger-occupancy sums behind healthz ``admission_occupancy``.
-
-        Against a shared fleet slab the sums are fleet-wide and come straight
-        from :meth:`repro.placement.SharedLedger.occupancy`; against private
-        ledgers they aggregate this service's own :class:`ClusterState`
-        objects (``released_total`` then counts this service's releases).
-        """
-        if self.fleet_ledger is not None:
-            return self.fleet_ledger.occupancy()
-        import numpy as np
-
-        totals = {"networks": 0.0, "node_capacity": 0.0,
-                  "node_remaining": 0.0, "link_capacity": 0.0,
-                  "link_remaining": 0.0, "released_total": 0.0}
-        for ledger in self._ledgers.values():
-            totals["networks"] += 1.0
-            totals["node_capacity"] += float(ledger.node_capacity.sum())
-            totals["node_remaining"] += float(
-                np.asarray(ledger.node_remaining).sum())
-            totals["link_capacity"] += float(
-                sum(ledger.link_capacity.values()))
-            totals["link_remaining"] += float(
-                sum(ledger.link_remaining.values()))
-            totals["released_total"] += float(ledger.releases_total)
-        return totals
-
-    def _ledger_for(self, request: SolveRequest):
-        """The capacity ledger of this request's (interned) network."""
-        from ..placement import ClusterState
-
-        key = request.network_ref or f"id:{id(request.instance.network)}"
-        ledger = self._ledgers.get(key)
-        if ledger is None or ledger.network is not request.instance.network:
-            # New topology — or the interner evicted and re-interned it as a
-            # fresh object, which voids the old ledger's node indices.  A
-            # shared-slab slot is keyed by the ref digest, so a re-interned
-            # network *rejoins* its existing slot with the drained budgets
-            # intact (the fleet's commitments survive this replica's cache
-            # churn); a private LocalStore starts fresh, as before.
-            store_factory = None
-            if self.fleet_ledger is not None and request.network_ref is not None:
-                base = request.network_ref.split("@", 1)[0]
-                store_factory = partial(self.fleet_ledger.store_for, base,
-                                        self.replica_id)
-            ledger = ClusterState.from_network(
-                request.instance.network,
-                node_capacity_factor=self.config.admission_capacity_factor,
-                link_capacity_factor=self.config.admission_capacity_factor,
-                store_factory=store_factory)
-            self._ledgers[key] = ledger
-        return ledger
-
     def _admit(self, entries: List[_Pending], result) -> List[Dict[str, Any]]:
         """Charge each successful solve against its network's ledger.
 
-        Commits run in priority order (arrival order breaking ties) within
-        the partition, so when a flush carries more demand than the cluster
-        has left, high-priority requests win the capacity race regardless of
-        their position in the batch.  A mapping that no longer fits gets an
-        ``ok: false`` response carrying the capacity violation as its
-        ``admission.reason``; failed solves pass through unchanged (there is
-        nothing to admit).  Responses come back in ``entries`` order.
+        The partition's demands go to the admission owner in one call, in
+        priority order (arrival order breaking ties), so when a flush
+        carries more demand than the cluster has left, high-priority
+        requests win the capacity race regardless of their position in the
+        batch.  A mapping that no longer fits gets an ``ok: false``
+        response carrying the capacity violation as its
+        ``admission.reason``; failed solves pass through unchanged (there
+        is nothing to admit).  Responses come back in ``entries`` order.
         """
         order = sorted(range(len(entries)),
                        key=lambda i: (-entries[i][0].priority, i))
-        responses: List[Optional[Dict[str, Any]]] = [None] * len(entries)
+        slots, asks, networks = [], [], {}
         for i in order:
+            mapping = result.items[i].mapping
+            if mapping is None:
+                continue
             request = entries[i][0]
+            network = request.instance.network
+            key = (request.network_ref.split("@", 1)[0]
+                   if request.network_ref is not None
+                   else f"id:{id(network)}")
+            networks.setdefault(key, network)
+            slots.append(i)
+            asks.append((key, ClusterState.demand_of(
+                mapping, demand_fps=self.config.admission_demand_fps)))
+        verdicts = dict(zip(slots, self.admission.admit(
+            self.replica_id, asks, networks)))
+        responses: List[Dict[str, Any]] = []
+        for i, (request, _future, _arrived) in enumerate(entries):
             item = result.items[i]
-            if item.mapping is None:
-                responses[i] = item_result_to_wire(
+            if i not in verdicts:
+                responses.append(item_result_to_wire(
                     item, solver=result.solver, objective=result.objective,
-                    network_ref=self._response_ref(request))
-                continue
-            try:
-                # Inside the try: a full shared-slab registry (or a network
-                # exceeding the slot geometry) is a CapacityError too, and
-                # must reject the request, not crash the flush.
-                ledger = self._ledger_for(request)
-                demand = ledger.demand_of(
-                    item.mapping,
-                    demand_fps=self.config.admission_demand_fps)
-                ledger.commit(demand)
-            except CapacityError as exc:
+                    network_ref=self._response_ref(request)))
+            elif verdicts[i] is not None:
                 self.rejected_total += 1
-                responses[i] = error_response(
-                    f"admission rejected: {exc}",
+                responses.append(error_response(
+                    f"admission rejected: {verdicts[i]}",
                     solver=result.solver, objective=result.objective,
-                    admission={"admitted": False, "reason": str(exc),
-                               "priority": request.priority})
-                continue
-            self.admitted_total += 1
-            responses[i] = item_result_to_wire(
-                item, solver=result.solver, objective=result.objective,
-                network_ref=self._response_ref(request),
-                admission={"admitted": True, "priority": request.priority})
-        return responses  # type: ignore[return-value]
+                    admission={"admitted": False, "reason": verdicts[i],
+                               "priority": request.priority}))
+            else:
+                self.admitted_total += 1
+                responses.append(item_result_to_wire(
+                    item, solver=result.solver, objective=result.objective,
+                    network_ref=self._response_ref(request),
+                    admission={"admitted": True,
+                               "priority": request.priority}))
+        return responses

@@ -46,6 +46,21 @@ supervisor records pids/liveness/restarts.  Any replica answering ``GET
 /healthz`` renders its own payload (tagged ``replica_id``) plus a summed
 ``fleet`` block and a ``per_replica`` list, so one probe sees the whole
 fleet regardless of which process accepted it.
+
+Fleet admission
+---------------
+With admission control the supervisor holds the fleet's only
+:class:`~repro.service.admission.AdmissionBook` and one
+``multiprocessing.Pipe`` per replica.  Each replica's dispatcher sends one
+message per flush partition (the priority-ordered demands, plus a network
+payload the first time it names a ref) and gets one verdict per demand
+back; the reap loop's idle wait is a ``multiprocessing.connection.wait``
+on those pipes.  No lock or memory is shared with a replica, so killing
+one at any instant cannot wedge the others: its reap closes its pipe and
+releases everything it held.  A ``POST /delta`` patches only the
+receiving replica's interned network (the others keep serving the
+capacities they interned) and rebases the book's ledger from that
+replica's patched payload.
 """
 
 from __future__ import annotations
@@ -59,9 +74,11 @@ import socket
 import sys
 import time
 import traceback
+from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..exceptions import SpecificationError
+from .admission import AdmissionBook, AdmissionPipe
 from .dispatcher import ServiceConfig, SolveService
 
 __all__ = ["FLEET_COUNTERS", "FleetState", "bind_listeners", "run_replica",
@@ -210,18 +227,18 @@ def bind_listeners(host: str, port: int, count: int, *, backlog: int = 512
 
 def run_replica(config: Optional[ServiceConfig], sock: socket.socket,
                 replica_id: int, fleet: Optional[FleetState] = None,
-                shared_ledger: Optional[Any] = None) -> int:
+                admission: Optional[Connection] = None) -> int:
     """One replica's main: serve on the inherited socket until ``SIGTERM``.
 
     Constructs the :class:`SolveService` *after* the fork, so every replica
-    owns an independent dispatcher, interner and flush executor.  When the
-    supervisor created a shared admission slab
-    (:class:`repro.placement.SharedLedger`), the replica *re-attaches* to it
-    by segment name here — the slab's lock rides the fork, only the memory
-    is re-mapped — so every replica's admission ledgers charge one set of
-    budgets.  ``SIGTERM`` / ``SIGINT`` trigger a graceful drain (every
-    accepted request answered) before the function returns; the caller (the
-    forked child) exits with the returned code.
+    owns an independent dispatcher, interner and flush executor.
+    ``admission`` is this replica's end of its pipe to the supervisor's
+    :class:`~repro.service.admission.AdmissionBook` (admission control on a
+    fleet): the service admits through it instead of holding ledgers of its
+    own, so every replica charges one set of budgets.  ``SIGTERM`` /
+    ``SIGINT`` trigger a graceful drain (every accepted request answered)
+    before the function returns; the caller (the forked child) exits with
+    the returned code.
     """
     from .server import SolveServer
 
@@ -229,10 +246,6 @@ def run_replica(config: Optional[ServiceConfig], sock: socket.socket,
     # the event loop installs its own drain triggers.
     signal.signal(signal.SIGINT, signal.SIG_DFL)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-    fleet_ledger = None
-    if shared_ledger is not None:
-        fleet_ledger = shared_ledger.attach()
 
     async def main() -> None:
         loop = asyncio.get_running_loop()
@@ -244,7 +257,8 @@ def run_replica(config: Optional[ServiceConfig], sock: socket.socket,
                 pass
         server = SolveServer(
             SolveService(config, replica_id=replica_id,
-                         fleet_ledger=fleet_ledger),
+                         admission=(AdmissionPipe(admission)
+                                    if admission is not None else None)),
             sock=sock, replica_id=replica_id, fleet=fleet)
         await server.start()
         await server.serve_until(stop)
@@ -252,8 +266,8 @@ def run_replica(config: Optional[ServiceConfig], sock: socket.socket,
     try:
         asyncio.run(main())
     finally:
-        if fleet_ledger is not None:
-            fleet_ledger.close()
+        if admission is not None:
+            admission.close()
     return 0
 
 
@@ -267,7 +281,9 @@ class ReplicaSupervisor:
     2. fork ``replicas`` children, each running :func:`run_replica`,
     3. reap loop: an unexpectedly-dead replica is restarted after a bounded
        exponential backoff; liveness/restart counts are published into the
-       shared :class:`FleetState`,
+       shared :class:`FleetState`; with admission control the loop also
+       answers every replica's admission messages (waiting on their pipes
+       is the loop's idle wait),
     4. ``SIGINT``/``SIGTERM`` → forward ``SIGTERM`` to every child (graceful
        drain), wait up to ``drain_timeout_s``, ``SIGKILL`` stragglers,
        return 0.
@@ -306,11 +322,12 @@ class ReplicaSupervisor:
         self.announce = announce
         self.reuse_port = False
         self.fleet: Optional[FleetState] = None
-        #: The fleet's shared admission slab (created in :meth:`run` when the
-        #: config enables admission control; ``None`` otherwise).  The
-        #: supervisor owns the segment: it creates it pre-fork, refunds dead
-        #: replicas' holdings on reap, and unlinks it at drain.
-        self.shared_ledger: Optional[Any] = None
+        #: The fleet's one admission owner (created in :meth:`run` when the
+        #: config enables admission control; ``None`` otherwise).  Replicas
+        #: admit through their pipe to it; a reaped replica's holdings are
+        #: released from it.
+        self.admission: Optional[AdmissionBook] = None
+        self._pipes: Dict[int, Connection] = {}  # replica_id -> our end
         self._socks: List[socket.socket] = []
         self._children: Dict[int, int] = {}  # pid -> replica_id
         self._spawned_at: List[float] = [0.0] * replicas
@@ -325,11 +342,8 @@ class ReplicaSupervisor:
             self.host, self.port, self.replicas, backlog=self.backlog)
         self.fleet = FleetState(self.replicas)
         if self.config.admission_control:
-            # Created before any fork so every replica can re-attach by name
-            # and the slab's cross-process lock is inherited by all of them.
-            from ..placement import SharedLedger
-
-            self.shared_ledger = SharedLedger.create(replicas=self.replicas)
+            self.admission = AdmissionBook(
+                self.config.admission_capacity_factor)
         if self.announce is not None:
             self.announce(self)
         previous = {
@@ -342,7 +356,7 @@ class ReplicaSupervisor:
             while not self._stopping:
                 self._reap()
                 self._restart_due_replicas()
-                time.sleep(0.02)
+                self._pump(0.02)
             self._shutdown()
         finally:
             for signum, handler in previous.items():
@@ -350,10 +364,8 @@ class ReplicaSupervisor:
             for sock in self._socks:
                 sock.close()
             self._socks = []
-            if self.shared_ledger is not None:
-                self.shared_ledger.close()
-                self.shared_ledger.unlink()
-                self.shared_ledger = None
+            for replica_id in list(self._pipes):
+                self._close_pipe(replica_id)
         return 0
 
     # ------------------------------------------------------------------ #
@@ -364,6 +376,9 @@ class ReplicaSupervisor:
 
     def _spawn(self, replica_id: int) -> int:
         sock = self._socks[replica_id % len(self._socks)]
+        child_end = None
+        if self.admission is not None:
+            self._pipes[replica_id], child_end = multiprocessing.Pipe()
         pid = os.fork()
         if pid == 0:
             # Child: never return into the supervisor loop.
@@ -372,12 +387,16 @@ class ReplicaSupervisor:
                 for other in self._socks:
                     if other is not sock:
                         other.close()
+                for ours in self._pipes.values():
+                    ours.close()
                 code = run_replica(self.config, sock, replica_id, self.fleet,
-                                   self.shared_ledger)
+                                   child_end)
             except BaseException:  # pragma: no cover - child crash path
                 traceback.print_exc()
             finally:
                 os._exit(code)
+        if child_end is not None:
+            child_end.close()
         self._children[pid] = replica_id
         self._spawned_at[replica_id] = time.monotonic()
         self.fleet.mark_spawned(replica_id, pid)
@@ -396,18 +415,9 @@ class ReplicaSupervisor:
                 raise
             if pid == 0:
                 return
-            replica_id = self._children.pop(pid, None)
+            replica_id = self._collect(pid)
             if replica_id is None:  # pragma: no cover - foreign child
                 continue
-            self.fleet.mark_dead(replica_id)
-            if self.shared_ledger is not None:
-                # Crash-release: refund whatever capacity the dead replica's
-                # holdings journal says it had reserved, so its admissions do
-                # not leak budget until the fleet restarts.  A replica that
-                # drained cleanly has nothing to refund only if its tenants
-                # released; admission commitments are deliberately sticky, so
-                # the refund applies on every exit path.
-                self.shared_ledger.release_replica(replica_id)
             if self._stopping:
                 continue
             lived = time.monotonic() - self._spawned_at[replica_id]
@@ -421,6 +431,59 @@ class ReplicaSupervisor:
             self._restart_due[replica_id] = time.monotonic() + delay
             print(f"repro-serve replica {replica_id} exited; restarting in "
                   f"{delay:.2f}s", file=sys.stderr, flush=True)
+
+    def _collect(self, pid: int) -> Optional[int]:
+        """Book a reaped child as dead; returns its replica id.
+
+        Crash-release: the dead replica's pipe is closed first — a message
+        it sent but the supervisor never read is dropped, never committed —
+        and then everything it held is refunded, so its admissions do not
+        leak budget until the fleet restarts.  Admission commitments are
+        deliberately sticky, so the refund applies on every exit path.
+        """
+        replica_id = self._children.pop(pid, None)
+        if replica_id is not None:
+            self.fleet.mark_dead(replica_id)
+            self._close_pipe(replica_id)
+            if self.admission is not None:
+                self.admission.release(replica_id)
+        return replica_id
+
+    def _close_pipe(self, replica_id: int) -> None:
+        conn = self._pipes.pop(replica_id, None)
+        if conn is not None:
+            conn.close()
+
+    def _pump(self, timeout: float) -> None:
+        """Answer replicas' admission messages for up to ``timeout`` seconds.
+
+        Waits on every replica pipe at once (plain sleep without admission
+        control) and answers each message that arrived.  A pipe at EOF
+        belongs to a dead replica and is closed; its reap releases what it
+        held.  An error raised by the book goes back to the asking replica
+        instead of stopping the supervisor.
+        """
+        if not self._pipes:
+            time.sleep(timeout)
+            return
+        holders = {conn: replica_id
+                   for replica_id, conn in self._pipes.items()}
+        for conn in wait(list(holders), timeout):
+            replica_id = holders[conn]
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                self._close_pipe(replica_id)
+                continue
+            try:
+                reply = (True, self.admission.answer(replica_id, message))
+            except Exception as exc:  # the supervisor must keep serving
+                traceback.print_exc()
+                reply = (False, f"{type(exc).__name__}: {exc}")
+            try:
+                conn.send(reply)
+            except OSError:  # the replica died waiting; its reap releases
+                pass
 
     def _restart_due_replicas(self) -> None:
         now = time.monotonic()
@@ -445,17 +508,14 @@ class ReplicaSupervisor:
             except ChildProcessError:  # pragma: no cover - raced reap
                 break
             if pid == 0:
-                time.sleep(0.02)
+                # Draining replicas still admit what they answer.
+                self._pump(0.02)
                 continue
-            replica_id = self._children.pop(pid, None)
-            if replica_id is not None:
-                self.fleet.mark_dead(replica_id)
+            self._collect(pid)
         for pid in list(self._children):  # pragma: no cover - drain timeout
             try:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):
                 pass
-            replica_id = self._children.pop(pid, None)
-            if replica_id is not None:
-                self.fleet.mark_dead(replica_id)
+            self._collect(pid)

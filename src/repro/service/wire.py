@@ -537,14 +537,16 @@ def occupancy_to_wire(raw: Mapping[str, float]) -> Dict[str, Any]:
     ``raw`` carries resource-unit totals over every admission ledger —
     ``networks``, ``node_capacity`` / ``node_remaining`` (ops/s),
     ``link_capacity`` / ``link_remaining`` (bits/s) and ``released_total``
-    (crash-release reaps) — whether they came from one process's private
-    ledgers or a fleet's :meth:`repro.placement.SharedLedger.occupancy`.
+    (crash-release reaps) — from
+    :meth:`repro.service.admission.AdmissionBook.occupancy`, the one book
+    of a single process or of a whole fleet.
     The wire block reports *fractions* so operators read occupancy without
     knowing the cluster's absolute scale: ``node_residual_fraction`` /
     ``link_residual_fraction`` (remaining ÷ capacity, 1.0 for an idle or
     empty ledger) and the complementary ``node_occupancy_fraction`` /
     ``link_occupancy_fraction``; a healthy fleet never shows occupancy
-    above 1.0 (shared budgets make overdraw structurally impossible).
+    above 1.0 (one owner of the budgets makes overdraw structurally
+    impossible).
     """
     node_cap = float(raw.get("node_capacity", 0.0))
     link_cap = float(raw.get("link_capacity", 0.0))

@@ -237,3 +237,91 @@ class TestAdmissionControl:
             ServiceConfig(admission_capacity_factor=-1.0)
         with pytest.raises(SpecificationError, match="admission_demand"):
             ServiceConfig(admission_demand_fps=-1.0)
+
+
+class TestAdmissionAcrossInterning:
+    def test_interner_eviction_keeps_drained_budgets(self):
+        """Regression: evicting a network from the interner used to rebuild
+        its ledger with full budgets on the next request, so re-posting the
+        same tenants admitted them a second time — twice the real capacity.
+        Ledgers are keyed by base network ref, so the re-interned network
+        rejoins its drained ledger."""
+        import asyncio
+
+        from repro.service import SolveService
+
+        cluster_a = random_network(12, 30, seed=3)
+        cluster_b = random_network(12, 30, seed=4)
+        tenants = [
+            ProblemInstance(pipeline=random_pipeline(6, seed=84 + i),
+                            network=cluster_a,
+                            request=random_request(cluster_a, seed=84 + i,
+                                                   min_hop_distance=2),
+                            name=f"tenant-{i}")
+            for i in range(12)]
+        other = ProblemInstance(pipeline=random_pipeline(6, seed=1),
+                                network=cluster_b,
+                                request=random_request(cluster_b, seed=2),
+                                name="evictor")
+        service = SolveService(ServiceConfig(admission_control=True,
+                                             admission_capacity_factor=0.2,
+                                             intern_networks=1))
+
+        async def post(instances):
+            admitted = 0
+            for instance in instances:
+                request = SolveRequest.from_wire(
+                    SolveRequest(instance=instance).to_wire(),
+                    interner=service.interner)
+                response = await service.submit(request)
+                admitted += bool(response.get("admission", {}).get("admitted"))
+            return admitted
+
+        async def scenario():
+            await service.start()
+            try:
+                first = await post(tenants)
+                await post([other])  # evicts cluster A (intern_networks=1)
+                again = await post(tenants)
+            finally:
+                await service.close()
+            return first, again
+
+        first, again = asyncio.run(scenario())
+        assert first == 4
+        assert again == 0
+        status = service.status()
+        assert status["admission_ledgers"] == 2
+        assert status["admitted_total"] == first
+
+    def test_delta_rebases_the_ledger_of_its_network(self):
+        """A /delta rebases the ledger of the network it patched, and a
+        request naming a later epoch (``digest@epoch``) charges that same
+        ledger."""
+        (instance,) = _instances(1, n_modules=8)
+        config = ServiceConfig(max_batch=1, max_wait_ms=0.0,
+                               admission_control=True,
+                               admission_capacity_factor=_single_fit_factor(
+                                   instance, headroom=1.2))
+        with BackgroundServer(config) as server:
+            client = server.client()
+            first = client.solve(instance)
+            assert first["admission"]["admitted"]
+            node = first["mapping"]["path"][1]
+            power = instance.network.node(node).processing_power
+            halved = client.apply_delta(instance.network, [
+                {"kind": "power", "node": node, "value": power / 2.0}])
+            restored = client.apply_delta(instance.network, [
+                {"kind": "power", "node": node, "value": power}])
+            # The client now names the network as digest@epoch: the same
+            # ledger, still holding the first admission.
+            again = client.solve(instance)
+            status = client.healthz()
+        assert halved["ok"] and halved["ledger_rebased"] is True
+        assert any(v.startswith(f"node {node}:")
+                   for v in halved["capacity_violations"])
+        assert restored["ledger_rebased"] is True
+        assert restored["capacity_violations"] == []
+        assert "@" in restored["network_ref"]
+        assert again["admission"]["admitted"] is False
+        assert status["admission_ledgers"] == 1

@@ -1,14 +1,15 @@
-"""Unit tests for the ledger storage seam (repro.placement.ledger).
+"""Unit tests for the admission ledgers and the book that owns them.
 
-Covers the two :class:`LedgerStore` implementations behind
-:class:`ClusterState`: the default in-process :class:`LocalStore` (must stay
-bit-identical to the pre-seam ledger) and the :class:`SharedStore` slots of a
-:class:`SharedLedger` slab (cross-holder budget visibility, per-replica
-holdings journals, crash-release refunds, snapshot/restore that only rolls
-back the caller's own delta).  Also the concurrency fix that the seam
-required: ``snapshot()``/``restore()`` hold the store lock for the whole
-copy, proven by a threaded race test, and a forked-child attach test proving
-the segment-name protocol the replica supervisor relies on.
+:class:`ClusterState` keeps its budgets in its own NumPy arrays behind its
+own lock (``TestLocalStore``).  Every admission ledger a service or a fleet
+charges is owned by one :class:`repro.service.admission.AdmissionBook`
+(``TestSharedStore``): commits by one holder (replica) are visible to the
+next, decisions match an in-process ``ClusterState`` bit for bit, a
+re-interned network rejoins its drained ledger, any number of networks is
+admitted, and releasing a holder refunds exactly what it held.  A forked
+child admits through its pipe and the reap refunds it.  Also the
+concurrency fix: ``snapshot()``/``restore()`` hold the ledger lock for the
+whole copy, proven by a threaded race test.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.exceptions import CapacityError, SpecificationError
+from repro.exceptions import CapacityError
 from repro.generators import random_network, random_pipeline, random_request
-from repro.placement import ClusterState, LocalStore, SharedLedger, SharedStore
+from repro.model import TransportNetwork
+from repro.placement import ClusterState
+from repro.service.admission import AdmissionBook, AdmissionPipe
 
 requires_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="shared-segment attach test needs fork")
+    not hasattr(os, "fork"), reason="pipe-admission test needs fork")
 
 
 def _network(seed=1, n_nodes=6, n_links=10):
@@ -41,28 +44,37 @@ def _mapping(network, *, pipe_seed=2, req_seed=3, n_modules=3):
 
 
 @pytest.fixture
-def fleet():
-    ledger = SharedLedger.create(replicas=2)
-    yield ledger
-    ledger.close()
-    ledger.unlink()
+def book():
+    return AdmissionBook()
 
 
-def _shared_cluster(fleet, network, replica_id, key="net0"):
-    def factory(node_cap, link_cap, link_keys):
-        return fleet.store_for(key, replica_id, node_cap, link_cap, link_keys)
+def _admit(book, holder, network, demand, key="net0"):
+    """One ask through the book; the verdict (``None`` = admitted)."""
+    (verdict,) = book.admit(holder, [(key, demand)], {key: network})
+    return verdict
 
-    return ClusterState.from_network(network, store_factory=factory)
+
+def _one_fit_factor(network, mapping, fps=1.0):
+    """A capacity factor whose binding budget fits 1.5 copies of a demand."""
+    probe = ClusterState.from_network(network)
+    demand = probe.demand_of(mapping, demand_fps=fps)
+    ratios = [need / probe.node_capacity[probe.view.index_of[node]]
+              for node, need in demand.nodes.items()]
+    ratios += [need / probe.link_capacity[key]
+               for key, need in demand.links.items()]
+    return 1.5 * max(ratios)
 
 
 # ---------------------------------------------------------------------- #
-# LocalStore (the default)
+# The ledger's own budgets
 # ---------------------------------------------------------------------- #
 class TestLocalStore:
     def test_default_store_is_local(self):
+        # The only store: the ledger's own arrays, owned by nothing else.
         cluster = ClusterState.from_network(_network())
-        assert isinstance(cluster.store, LocalStore)
-        assert cluster.store.kind == "local"
+        assert type(cluster.node_remaining) is np.ndarray
+        assert cluster.node_remaining.base is None
+        assert not hasattr(cluster, "store")
 
     def test_node_remaining_is_live_and_writable(self):
         cluster = ClusterState.from_network(_network())
@@ -100,185 +112,247 @@ class TestLocalStore:
 
 
 # ---------------------------------------------------------------------- #
-# SharedStore / SharedLedger
+# rebase(): budgets follow the network's capacities, commitments stay
+# ---------------------------------------------------------------------- #
+class TestRebase:
+    def test_each_budget_moves_by_its_capacity_change(self):
+        network = _network()
+        cluster = ClusterState.from_network(network)
+        mapping = _mapping(network)
+        cluster.commit(cluster.demand_of(mapping, demand_fps=3.0))
+        before = cluster.node_remaining.copy()
+        links_before = dict(cluster.link_remaining)
+        node = mapping.path[0]
+        index = cluster.view.index_of[node]
+        power = network.processing_power(node)
+        network.set_processing_power(node, power * 2.0)
+        assert cluster.rebase() == []
+        grown = power * 1e6  # the capacity it gained, ops/s
+        assert cluster.node_remaining[index] == before[index] + grown
+        others = np.arange(len(before)) != index
+        assert np.array_equal(cluster.node_remaining[others], before[others])
+        assert dict(cluster.link_remaining) == links_before
+        assert len(cluster.committed) == 1
+        cluster.validate()
+        assert cluster.rebase() == []  # the view is unchanged: a no-op
+
+    def test_shrunk_capacity_reports_what_is_overdrawn(self):
+        network = _network()
+        cluster = ClusterState.from_network(network)
+        mapping = _mapping(network)
+        demand = cluster.commit(cluster.demand_of(mapping, demand_fps=2.0))
+        node, needed = next(iter(demand.nodes.items()))
+        network.set_processing_power(node, needed / 4e6)
+        (violation,) = [v for v in cluster.rebase() if v.kind == "node"]
+        assert violation.where == node
+        assert violation.needed == pytest.approx(needed)
+        assert violation.remaining == pytest.approx(needed / 4 - needed)
+
+    def test_dropping_a_link_in_use_refuses_to_rebase(self):
+        network = _network()
+        cluster = ClusterState.from_network(network)
+        mapping = _mapping(network)
+        demand = cluster.commit(cluster.demand_of(mapping))
+        u, v = next(iter(demand.links))
+        network.remove_link(u, v)
+        with pytest.raises(CapacityError, match="no longer has"):
+            cluster.rebase()
+
+
+# ---------------------------------------------------------------------- #
+# The admission book: one owner, many holders
 # ---------------------------------------------------------------------- #
 class TestSharedStore:
-    def test_commits_visible_across_holders(self, fleet):
+    def test_commits_visible_across_holders(self):
         network = _network()
-        c0 = _shared_cluster(fleet, network, 0)
-        c1 = _shared_cluster(fleet, network, 1)
-        assert isinstance(c0.store, SharedStore)
         mapping = _mapping(network)
-        before = c1.node_remaining_vector()
-        c0.commit(c0.demand_of(mapping, demand_fps=4.0))
-        after = c1.node_remaining_vector()
-        assert not np.array_equal(before, after)
-        assert np.array_equal(after, c0.node_remaining_vector())
+        book = AdmissionBook(_one_fit_factor(network, mapping))
+        demand = ClusterState.demand_of(mapping)
+        assert _admit(book, 0, network, demand) is None
+        # Holder 1 charges the same budgets holder 0 drained.
+        assert "exceeds remaining cluster capacity" in _admit(
+            book, 1, network, ClusterState.demand_of(mapping))
 
-    def test_bit_identical_with_local_store(self, fleet):
+    def test_bit_identical_with_local_store(self):
         network = _network()
-        shared = _shared_cluster(fleet, network, 0)
-        local = ClusterState.from_network(network)
         mapping = _mapping(network)
-        for fps in (5.0, 1.0, 0.25):
-            shared.commit(shared.demand_of(mapping, demand_fps=fps))
-            local.commit(local.demand_of(mapping, demand_fps=fps))
-        assert np.array_equal(np.asarray(shared.node_remaining),
-                              np.asarray(local.node_remaining))
-        assert dict(shared.link_remaining) == dict(local.link_remaining)
+        factor = 4.0 * _one_fit_factor(network, mapping)
+        book = AdmissionBook(factor)
+        local = ClusterState.from_network(network,
+                                          node_capacity_factor=factor,
+                                          link_capacity_factor=factor)
+        verdicts, expected = [], []
+        for holder, fps in enumerate((5.0, 1.0, 0.25, 0.5, 2.0, 1.0)):
+            verdicts.append(_admit(book, holder % 2, network,
+                                   ClusterState.demand_of(mapping,
+                                                          demand_fps=fps)))
+            try:
+                local.commit(local.demand_of(mapping, demand_fps=fps))
+                expected.append(None)
+            except CapacityError as exc:
+                expected.append(str(exc))
+        assert verdicts == expected
+        assert any(v is None for v in verdicts)
+        assert any(v is not None for v in verdicts)
+        ledger = book._ledgers["net0"]
+        assert np.array_equal(ledger.node_remaining, local.node_remaining)
+        assert dict(ledger.link_remaining) == dict(local.link_remaining)
 
-    def test_rejoining_a_slot_keeps_drained_budgets(self, fleet):
+    def test_rejoining_a_slot_keeps_drained_budgets(self, book):
         network = _network()
-        c0 = _shared_cluster(fleet, network, 0)
         mapping = _mapping(network)
-        c0.commit(c0.demand_of(mapping, demand_fps=4.0))
-        drained = c0.node_remaining_vector()
-        # A later holder of the same network key (e.g. a replica whose
-        # interner evicted and re-interned the topology) must land on the
-        # same slot with the fleet's commitments intact.
-        rejoined = _shared_cluster(fleet, network, 1)
-        assert np.array_equal(rejoined.node_remaining_vector(), drained)
-
-    def test_capacity_mismatch_is_configuration_drift(self, fleet):
-        network = _network()
-        _shared_cluster(fleet, network, 0)
-
-        def bad_factory(node_cap, link_cap, link_keys):
-            return fleet.store_for("net0", 1, node_cap * 2.0, link_cap,
-                                   link_keys)
-
-        with pytest.raises(SpecificationError, match="disagree"):
-            ClusterState.from_network(network, store_factory=bad_factory)
-
-    def test_slab_geometry_overflow_is_capacity_error(self):
-        small = SharedLedger.create(replicas=1, max_nodes=2, max_links=2)
-        try:
-            network = _network()
-            with pytest.raises(CapacityError, match="geometry"):
-                _shared_cluster(small, network, 0)
-        finally:
-            small.close()
-            small.unlink()
-
-    def test_full_registry_is_capacity_error(self):
-        small = SharedLedger.create(replicas=1, max_networks=1)
-        try:
-            _shared_cluster(small, _network(seed=1), 0, key="a")
-            with pytest.raises(CapacityError, match="full"):
-                _shared_cluster(small, _network(seed=2), 0, key="b")
-        finally:
-            small.close()
-            small.unlink()
-
-    def test_validate_sees_fleet_wide_usage(self, fleet):
-        network = _network()
-        c0 = _shared_cluster(fleet, network, 0)
-        c1 = _shared_cluster(fleet, network, 1)
-        mapping = _mapping(network)
-        c0.commit(c0.demand_of(mapping, demand_fps=2.0))
-        c1.commit(c1.demand_of(mapping, demand_fps=3.0))
-        # Each holder only has its own committed list, but validate() must
-        # reconcile against the *sum* of every replica's journal.
-        c0.validate()
-        c1.validate()
-
-    def test_release_replica_refunds_and_is_idempotent(self, fleet):
-        network = _network()
-        c0 = _shared_cluster(fleet, network, 0)
-        c1 = _shared_cluster(fleet, network, 1)
-        mapping = _mapping(network)
-        c1.commit(c1.demand_of(mapping, demand_fps=3.0))
-        pristine = ClusterState.from_network(network)
-        assert fleet.release_replica(1) > 0.0
-        assert np.array_equal(c0.node_remaining_vector(),
-                              np.asarray(pristine.node_remaining))
-        assert fleet.release_replica(1) == 0.0
-        assert fleet.occupancy()["released_total"] == 1.0
-
-    def test_restore_refunds_own_delta_only(self, fleet):
-        network = _network()
-        c0 = _shared_cluster(fleet, network, 0)
-        c1 = _shared_cluster(fleet, network, 1)
-        mapping = _mapping(network)
-        snap = c0.snapshot()
-        c0.commit(c0.demand_of(mapping, demand_fps=1.0))
-        other = c1.commit(c1.demand_of(mapping, demand_fps=2.0))
-        c0.restore(snap)
-        # c1's commit survives c0's rollback...
-        c0.validate()
-        c1.validate()
-        assert c0.committed == []
+        _admit(book, 0, network, ClusterState.demand_of(mapping,
+                                                        demand_fps=4.0))
+        drained = book._ledgers["net0"].node_remaining_vector()
+        # The same topology as a new object (a replica's interner evicted
+        # and re-interned it) lands on the same ledger, drained budgets
+        # intact.
+        again = TransportNetwork.from_dict(network.to_dict())
+        _admit(book, 1, again, ClusterState.demand_of(mapping))
+        assert book.occupancy()["networks"] == 1.0
         expected = ClusterState.from_network(network)
-        expected.commit(expected.demand_of(mapping, demand_fps=2.0))
-        assert np.array_equal(c0.node_remaining_vector(),
-                              np.asarray(expected.node_remaining))
-        # ...and releasing it returns the slab to pristine.
-        c1.release(other)
-        pristine = ClusterState.from_network(network)
-        assert np.array_equal(c1.node_remaining_vector(),
-                              np.asarray(pristine.node_remaining))
+        for fps in (4.0, 1.0):
+            expected.commit(expected.demand_of(mapping, demand_fps=fps))
+        assert np.array_equal(book._ledgers["net0"].node_remaining,
+                              expected.node_remaining)
+        assert not np.array_equal(drained, expected.node_remaining)
 
-    def test_shared_store_refuses_rebase(self, fleet):
-        network = _network()
-        c0 = _shared_cluster(fleet, network, 0)
-        node = network.nodes()[0]
-        network.set_processing_power(node.node_id,
-                                     node.processing_power * 2.0)
-        with pytest.raises(SpecificationError, match="shared"):
-            c0.rebase()
+    def test_seventeenth_distinct_network_is_admitted(self, book):
+        for seed in range(17):
+            network = _network(seed=seed)
+            mapping = _mapping(network)
+            assert _admit(book, seed % 2, network,
+                          ClusterState.demand_of(mapping),
+                          key=f"net{seed}") is None
+        assert book.occupancy()["networks"] == 17.0
 
-    def test_occupancy_totals(self, fleet):
+    def test_validate_sees_fleet_wide_usage(self, book):
         network = _network()
-        c0 = _shared_cluster(fleet, network, 0)
         mapping = _mapping(network)
-        c0.commit(c0.demand_of(mapping, demand_fps=5.0))
-        occ = fleet.occupancy()
+        _admit(book, 0, network, ClusterState.demand_of(mapping,
+                                                        demand_fps=2.0))
+        _admit(book, 1, network, ClusterState.demand_of(mapping,
+                                                        demand_fps=3.0))
+        # One ledger holds both holders' commitments, so validate()
+        # reconciles budgets against everything the fleet admitted.
+        ledger = book._ledgers["net0"]
+        assert len(ledger.committed) == 2
+        ledger.validate()
+
+    def test_release_replica_refunds_and_is_idempotent(self, book):
+        network = _network()
+        mapping = _mapping(network)
+        _admit(book, 0, network, ClusterState.demand_of(mapping))
+        _admit(book, 1, network, ClusterState.demand_of(mapping,
+                                                        demand_fps=3.0))
+        _admit(book, 1, network, ClusterState.demand_of(mapping))
+        assert book.release(1) == 2
+        expected = ClusterState.from_network(network)
+        expected.commit(expected.demand_of(mapping))
+        ledger = book._ledgers["net0"]
+        assert np.array_equal(ledger.node_remaining, expected.node_remaining)
+        ledger.validate()
+        assert book.release(1) == 0
+        assert book.occupancy()["released_total"] == 1.0
+
+    def test_occupancy_totals(self, book):
+        network = _network()
+        mapping = _mapping(network)
+        demand = ClusterState.demand_of(mapping, demand_fps=5.0)
+        _admit(book, 0, network, demand)
+        occ = book.occupancy()
+        ledger = book._ledgers["net0"]
         assert occ["networks"] == 1.0
         assert occ["node_capacity"] == pytest.approx(
-            float(c0.node_capacity.sum()))
+            float(ledger.node_capacity.sum()))
         used = occ["node_capacity"] - occ["node_remaining"]
-        assert used == pytest.approx(c0.committed[0].total_node_ops)
+        assert used == pytest.approx(demand.total_node_ops)
+        assert occ["released_total"] == 0.0
+
+    def test_concurrent_holders_never_overdraw(self):
+        """Holders admitting from several threads while others read
+        occupancy and release: every ledger still validates and holds
+        exactly what was admitted and not released."""
+        import sys
+
+        network = _network(seed=5, n_nodes=8, n_links=16)
+        mapping = _mapping(network, pipe_seed=6, req_seed=7)
+        book = AdmissionBook(40.0 * _one_fit_factor(network, mapping))
+        admitted = [0] * 6
+        failures: list = []
+
+        def admit(holder):
+            try:
+                for _ in range(60):
+                    verdict = _admit(book, holder, network,
+                                     ClusterState.demand_of(mapping))
+                    admitted[holder] += verdict is None
+                    book.occupancy()
+            except Exception as exc:  # pragma: no cover - the failure
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=admit, args=(holder,))
+                       for holder in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            released = book.release(0) + book.release(1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert not failures
+        ledger = book._ledgers["net0"]
+        ledger.validate()
+        assert released == admitted[0] + admitted[1]
+        assert len(ledger.committed) == sum(admitted) - released
+        assert 0 < sum(admitted) < 6 * 60  # the budgets really ran out
 
     @requires_fork
-    def test_forked_child_attaches_by_name(self, fleet):
+    def test_forked_child_attaches_by_name(self, book):
+        """A forked child admits through its pipe; the reap refunds it."""
+        import multiprocessing
+
         network = _network()
-        c0 = _shared_cluster(fleet, network, 0)
         mapping = _mapping(network)
-        demand = c0.demand_of(mapping, demand_fps=3.0)
-        read_fd, write_fd = os.pipe()
+        ours, theirs = multiprocessing.Pipe()
         pid = os.fork()
-        if pid == 0:  # child: attach by segment name, commit, exit
+        if pid == 0:  # child: admit through the pipe, report, exit
             code = 1
             try:
-                os.close(read_fd)
-                attached = fleet.attach()
-                child = _shared_cluster(attached, network, 1)
-                child.commit(child.demand_of(mapping, demand_fps=3.0))
-                attached.close()
-                os.write(write_fd, b"ok")
-                code = 0
+                ours.close()
+                pipe = AdmissionPipe(theirs)
+                verdicts = pipe.admit(
+                    1, [("net0", ClusterState.demand_of(mapping,
+                                                        demand_fps=3.0))],
+                    {"net0": network})
+                code = 0 if verdicts == [None] else 2
             except BaseException:
                 import traceback
 
                 traceback.print_exc()
             finally:
                 os._exit(code)
-        os.close(write_fd)
-        assert os.read(read_fd, 2) == b"ok"
-        os.close(read_fd)
+        theirs.close()
+        # Serve the child's one message the way the supervisor does.
+        ours.send((True, book.answer(1, ours.recv())))
         _pid, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
-        # The child's charge must be visible here, and must equal one local
-        # commit of the same demand.
+        ours.close()
+        # The child's charge is on the book, equal to one local commit of
+        # the same demand on a ledger built from the payload it sent.
         expected = ClusterState.from_network(network)
         expected.commit(expected.demand_of(mapping, demand_fps=3.0))
-        assert np.array_equal(c0.node_remaining_vector(),
-                              np.asarray(expected.node_remaining))
-        # The supervisor reaps the "crashed" child's journal.
-        assert fleet.release_replica(1) > 0.0
+        ledger = book._ledgers["net0"]
+        assert np.array_equal(ledger.node_remaining, expected.node_remaining)
+        # The supervisor reaps the "crashed" child's holdings.
+        assert book.release(1) == 1
         pristine = ClusterState.from_network(network)
-        assert np.array_equal(c0.node_remaining_vector(),
-                              np.asarray(pristine.node_remaining))
+        assert np.array_equal(ledger.node_remaining,
+                              pristine.node_remaining)
 
 
 # ---------------------------------------------------------------------- #
