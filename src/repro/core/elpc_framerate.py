@@ -78,9 +78,10 @@ def elpc_max_frame_rate(pipeline: Pipeline, network: TransportNetwork,
     ------
     InfeasibleMappingError
         If no simple source→destination path with exactly ``n`` nodes is
-        reachable by the heuristic (including the genuinely infeasible cases
-        the paper describes: pipeline shorter than the shortest path or longer
-        than the longest simple path).
+        reachable by the heuristic.  Only the linear checks of
+        :func:`~repro.model.validation.check_framerate_instance` run first;
+        a pipeline longer than the longest simple path (NP-complete to
+        decide) gets the DP's own "found no simple path" error.
     """
     start = time.perf_counter()
     report = check_framerate_instance(pipeline, network, request)

@@ -12,11 +12,11 @@ same order as the scalar reference solvers, so values, DP tables and
 backtracked assignments are **bit-identical** to them
 (``tests/test_tensor_equivalence.py``).  Single solves are batches of one
 (``B = 1``), and the warm-start engine (:mod:`repro.core.warm`) takes its
-cold tables from the same stage sweeps.  The min-delay stages run in-place
-kernels on recycled scratch buffers; the frame-rate stages allocate per
-stage.  See ``docs/ARCHITECTURE.md`` for the
-engine layer map, the batch semantics shared with
-:func:`repro.core.batch.solve_many`, and the guide to choosing an engine.
+cold tables from the same stage sweeps.  Both stage sweeps run in-place
+kernels on scratch buffers recycled across stages.  See
+``docs/ARCHITECTURE.md`` for the engine layer map, the batch semantics
+shared with :func:`repro.core.batch.solve_many`, and the guide to choosing
+an engine.
 
 Batch semantics in one line: infeasible or malformed items never abort a
 batch — each input slot gets either a
@@ -169,8 +169,10 @@ class StagedView:
     """The DP-stage arrays of one :class:`DenseNetworkView`.
 
     Produced (and cached per view) by :func:`stage_view`: the view's own
-    CSR edge arrays and transport vectors, plus the padded-slot layout
-    :func:`segment_min` reduces over.
+    CSR edge arrays and transport vectors, plus the padded-slot layout both
+    DP sweeps take their per-node minimum over: a node with no incoming edge
+    or no finite candidate gets ``inf``, and the first minimal slot is the
+    lowest predecessor index.
 
     Attributes
     ----------
@@ -194,6 +196,9 @@ class StagedView:
     slot_to_u_flat:
         ``(k * max(max_deg, 1),)`` inverse map from padded slot to edge
         source index (0 in padding slots).
+    slot_to_edge_flat:
+        ``(k * max(max_deg, 1),)`` inverse map from padded slot to CSR edge
+        index (-1 in padding slots).
     row_base:
         ``(k,)`` offsets of each node's first slot in the flattened layout.
     """
@@ -209,6 +214,7 @@ class StagedView:
     rows: np.ndarray
     flat_slot: np.ndarray
     slot_to_u_flat: np.ndarray
+    slot_to_edge_flat: np.ndarray
     row_base: np.ndarray
 
 
@@ -234,6 +240,8 @@ def stage_view(view: DenseNetworkView) -> StagedView:
     flat_slot = (view.edge_v * max_deg + slot_within).astype(np.intp)
     slot_to_u = np.zeros(k * max(max_deg, 1), dtype=np.intp)
     slot_to_u[flat_slot] = view.edge_u
+    slot_to_edge = np.full(k * max(max_deg, 1), -1, dtype=np.intp)
+    slot_to_edge[flat_slot] = np.arange(E2)
     staged = StagedView(
         k=k, n_directed_edges=E2, max_deg=max_deg,
         power_ms=view.power * 1e3,
@@ -244,43 +252,13 @@ def stage_view(view: DenseNetworkView) -> StagedView:
         rows=np.arange(k),
         flat_slot=flat_slot,
         slot_to_u_flat=slot_to_u,
+        slot_to_edge_flat=slot_to_edge,
         row_base=(np.arange(k) * max_deg).astype(np.intp))
     _STAGED[key] = staged
     # Evict on view collection so solves over many throwaway networks do
     # not pin their layouts forever.
     weakref.finalize(view, _STAGED.pop, key, None)
     return staged
-
-
-def segment_min(values: np.ndarray, staged: StagedView):
-    """Per-destination-node minimum and lowest-``u`` argmin over edge values.
-
-    ``values`` is ``(A, 2|E|)`` of candidate costs in the view's CSR edge
-    order; returns ``(best, best_u)`` of shape ``(A, k)``.  ``best`` is
-    ``inf`` (and ``best_u`` is 0) for nodes with no incoming edge or no
-    finite candidate, exactly what ``np.argmin`` over an all-``inf`` dense
-    column would yield.
-
-    Candidates scatter into an inf-padded ``(A, k, max_deg)`` tensor whose
-    contiguous min/argmin over the last axis is faster than
-    ``np.minimum.reduceat`` on the small per-node segments real topologies
-    have, and the ascending-``u`` slot order preserves the lowest-predecessor
-    tie-break for free.
-    """
-    A = values.shape[0]
-    if staged.max_deg == 0:  # edgeless network: no cross-link candidates
-        return (np.full((A, staged.k), np.inf),
-                np.zeros((A, staged.k), dtype=np.int64))
-    pad = np.full((A, staged.k * staged.max_deg), np.inf)
-    pad[:, staged.flat_slot] = values
-    # The winning slot's flat index gathers both its ``u`` and the minimum.
-    arg = np.argmin(pad.reshape(A, staged.k, staged.max_deg), axis=2)
-    arg += staged.row_base[None, :]
-    best_u = staged.slot_to_u_flat.take(arg)
-    arg += (np.arange(A) * pad.shape[1])[:, None]
-    best = pad.take(arg)
-    best_u = np.where(np.isfinite(best), best_u, 0)
-    return best, best_u
 
 
 # --------------------------------------------------------------------------- #
@@ -310,10 +288,10 @@ def _min_delay_stages(staged: StagedView, A: int, n_arr: np.ndarray,
     same = np.zeros((A, n_max, k), dtype=bool)
     values[np.arange(A), 0, src] = 0.0
 
-    # The per-node minimum runs over the staged padded-slot layout (see
-    # segment_min): edge costs scatter into an (A, k, max_deg)
-    # tensor (inf-padded, slots ordered by ascending u inside each node),
-    # whose contiguous min/argmin over the last axis is both faster than
+    # The per-node minimum runs over the staged padded-slot layout: edge
+    # costs scatter into an (A, k, max_deg) tensor (inf-padded, slots
+    # ordered by ascending u inside each node), whose contiguous
+    # min/argmin over the last axis is both faster than
     # np.minimum.reduceat on small segments and preserves the lowest-u
     # tie-break (np.argmin keeps the first minimal slot).
     E2 = staged.n_directed_edges
@@ -429,78 +407,124 @@ def _framerate_stages(staged: StagedView, A: int, n_arr: np.ndarray,
                       message: np.ndarray, *,
                       include_link_delay: bool) -> Tuple[np.ndarray,
                                                          np.ndarray]:
-    """The frame-rate min-max sweep over the padded-slot segment minimum.
+    """The frame-rate min-max sweep: in-place kernels on scratch buffers.
 
-    The per-pipeline visited-path guard is an ``(A, k, k)`` boolean tensor
-    gathered along each stage's chosen predecessors; while every pipeline is
-    still running it is read and replaced whole (no ``visited[act]`` copies),
-    the same slice path :func:`_min_delay_stages` takes.  Returns the
-    ``(values, pred)`` state arrays.
+    Items run longest first, so each stage's still-running items are a
+    prefix of the batch and every operand is a slice of a recycled buffer;
+    the state is stage-major, so each stage reads and writes contiguous
+    ``(A, k)`` rows.  Every stage's compute and transport terms are
+    computed up front.  The visited-path guard is an ``(A, k, k)`` boolean
+    tensor whose rows follow each stage's chosen predecessors.  An item's
+    last column reduces only its destination's in-edges.  Returns the
+    ``(values, pred)`` state arrays in input order, laid out
+    ``(A, n_max, k)``; unreachable (``inf``) cells carry ``pred = -1``.
     """
     k = staged.k
+    max_deg = staged.max_deg
     n_max = int(n_arr.max())
-    n_min = int(n_arr.min())
+    # Longest first (stable, so equal lengths keep their order): stage j
+    # runs items [:running[j]], and items [running[j + 1]:running[j]] fill
+    # their last column there.
+    order = np.argsort(-n_arr, kind="stable")
+    running = np.count_nonzero(
+        n_arr[:, None] > np.arange(n_max + 1)[None, :], axis=0).tolist()
+    src, dst = src[order], dst[order]
     arange_A = np.arange(A)
-    values = np.full((A, n_max, k), np.inf)
-    pred = np.full((A, n_max, k), -1, dtype=np.int64)
-    values[arange_A, 0, src] = 0.0
+
+    values = np.full((n_max, A, k), np.inf)
+    pred = np.empty((n_max, A, k), dtype=np.int64)
+    pred[0] = -1
+    values[0, arange_A, src] = 0.0
+    width = k * max(max_deg, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Stage j's terms, row j - 1, in the scalar solver's operation
+        # chains: w / p and (m·8/b)·10³ + d.
+        compute = workload[1:, order, None] / staged.power_ms[None, None, :]
+        trans = (message[1:, order, None] * BITS_PER_BYTE
+                 / staged.edge_bandwidth_bits_per_s[None, None, :])
+        trans *= 1e3
+        if include_link_delay:
+            trans += staged.edge_link_delay[None, None, :]
     # visited[a, u, w]: node w lies on the partial path realising T^{j-1}(u).
+    # Every path also carries its destination, which intermediate modules
+    # must never sit on: the guard below then masks the edges into it.
     visited = np.zeros((A, k, k), dtype=bool)
     visited[arange_A, src, src] = True
+    visited[arange_A, src, dst] = True
+    spare = np.empty_like(visited)
     # Flat (u, v) cell of every directed edge in a (k * k) visited row.
     edge_uv = staged.edge_u * k + staged.edge_v
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(1, n_max):
-            if j < n_min:  # every pipeline still running: pure slice paths
-                act = slice(None)
-                vis = visited
-            else:
-                act = np.flatnonzero(n_arr > j)
-                if act.size == 0:
-                    break
-                vis = visited[act]
-            A_j = vis.shape[0]
-            compute = workload[j][act][:, None] / staged.power_ms[None, :]
-            trans = (message[j][act][:, None] * BITS_PER_BYTE
-                     / staged.edge_bandwidth_bits_per_s[None, :]) * 1e3
-            if include_link_delay:
-                trans = trans + staged.edge_link_delay[None, :]
-            prev = values[act, j - 1]
-            # Min-max update on edges: max(T_prev(u), compute(v), trans(u, v)).
-            cand = np.maximum(
-                np.maximum(np.take(prev, staged.edge_u, axis=1),
-                           np.take(compute, staged.edge_v, axis=1)), trans)
+    row_offset = (arange_A * k)[:, None]
+    pad_offset = (arange_A * width)[:, None]
+    cand = np.empty((A, staged.n_directed_edges))
+    gather = np.empty_like(cand)
+    guard = np.empty(cand.shape, dtype=bool)
+    # As in _min_delay_stages: every stage's scatter overwrites exactly the
+    # real-edge slots, so the inf padding is written once.
+    pad = np.full((A, width), np.inf)
+    arg = np.empty((A, k), dtype=np.intp)
+    flat = np.empty_like(arg)
+    # Slots of each item's destination row, for its last column: blocked in
+    # padding, and everywhere if the path starts on the destination.
+    dst_slots = staged.row_base[dst][:, None] + np.arange(max_deg)[None, :]
+    dst_u = staged.slot_to_u_flat[dst_slots]
+    dst_edge = staged.slot_to_edge_flat[dst_slots]
+    dst_blocked = (dst_edge < 0) | (src == dst)[:, None]
+    # An edgeless network maps nothing past the source column.
+    for j in range(1, n_max if max_deg else 1):
+        A_j, L = running[j], running[j + 1]
+        if L:
+            # Items that go on: the full column over every edge.
+            c, g, p = cand[:L], gather[:L], pad[:L]
+            # max(T_prev(u), compute(v), trans(u, v)) on every edge;
+            # mode="clip" keeps NumPy from buffering out= (indices are valid).
+            values[j - 1, :L].take(staged.edge_u, axis=1, out=c, mode="clip")
+            compute[j - 1, :L].take(staged.edge_v, axis=1, out=g, mode="clip")
+            np.maximum(c, g, out=c)
+            np.maximum(c, trans[j - 1, :L], out=c)
             # Visited-path guard: u -> v is forbidden when v already lies on
             # u's partial path (node reuse is not allowed in this variant).
-            cand[vis.reshape(A_j, k * k)[:, edge_uv]] = np.inf
-            # Intermediate modules never sit on the destination; pipelines of
-            # different lengths hit their last stage at different j.
-            dst_act = dst[act]
-            last = n_arr[act] - 1 == j
-            if not last.all():
-                cand[~last[:, None]
-                     & (staged.edge_v[None, :] == dst_act[:, None])] = np.inf
-            col, best_u = segment_min(cand, staged)
-            if last.any():
-                # Only the destination cell of an item's last column matters.
-                li = np.flatnonzero(last)
-                dst_vals = col[li, dst_act[li]]
-                col[li] = np.inf
-                col[li, dst_act[li]] = dst_vals
-            values[act, j] = col
-            pred[act, j] = np.where(np.isfinite(col), best_u, -1)
-            # Row v of item a's new guard is row best_u[a, v] of its old one:
-            # one contiguous row gather over the (A_j * k, k) stack.
-            rows_flat = (best_u + (np.arange(A_j) * k)[:, None]).ravel()
-            new_visited = vis.reshape(A_j * k, k).take(rows_flat, axis=0)
-            new_visited = new_visited.reshape(A_j, k, k)
-            new_visited[:, staged.rows, staged.rows] = True
-            if j < n_min:
-                visited = new_visited
-            else:
-                visited[act] = new_visited
-    return values, pred
+            vis = visited[:L]
+            vis.reshape(L, k * k).take(edge_uv, axis=1, out=guard[:L],
+                                       mode="clip")
+            np.putmask(c, guard[:L], np.inf)
+            # Per-node minimum over the padded-slot layout; slots are
+            # ordered by ascending u, so the first minimal slot is the
+            # lowest predecessor index (the scalar solver's tie-break), and
+            # the minimum is gathered back from the winning slot.
+            p[:, staged.flat_slot] = c
+            np.argmin(p.reshape(L, k, max_deg), axis=2, out=arg[:L])
+            np.add(arg[:L], staged.row_base[None, :], out=arg[:L])
+            staged.slot_to_u_flat.take(arg[:L], out=pred[j, :L], mode="clip")
+            np.add(arg[:L], pad_offset[:L], out=flat[:L])
+            p.take(flat[:L], out=values[j, :L], mode="clip")
+            # Row v of item a's new guard is row pred[a, v] of its old one:
+            # one contiguous row gather over the (L * k, k) stack.  Rows of
+            # unreachable cells are never read: their candidates are inf.
+            np.add(pred[j, :L], row_offset[:L], out=flat[:L])
+            vis.reshape(L * k, k).take(flat[:L].ravel(), axis=0,
+                                       out=spare[:L].reshape(L * k, k),
+                                       mode="clip")
+            spare[:L].reshape(L, k * k)[:, ::k + 1] = True
+            visited, spare = spare, visited
+        if L < A_j:
+            # Items whose last column this is: destination in-edges only.
+            last = slice(L, A_j)
+            rows = arange_A[last]
+            c = np.take_along_axis(values[j - 1, last], dst_u[last], axis=1)
+            np.maximum(c, compute[j - 1, rows, dst[last]][:, None], out=c)
+            np.maximum(c, np.take_along_axis(trans[j - 1, last],
+                                             dst_edge[last], axis=1), out=c)
+            c[dst_blocked[last]] = np.inf
+            best = np.argmin(c, axis=1)[:, None]
+            values[j, rows, dst[last]] = np.take_along_axis(c, best, 1)[:, 0]
+            pred[j, rows, dst[last]] = np.take_along_axis(dst_u[last], best,
+                                                          1)[:, 0]
+    # Unreachable cells carry pred = -1, normalised once after the sweep.
+    pred[~np.isfinite(values)] = -1
+    inverse = np.argsort(order)
+    return (values.transpose(1, 0, 2)[inverse],
+            pred.transpose(1, 0, 2)[inverse])
 
 
 # --------------------------------------------------------------------------- #
@@ -652,14 +676,15 @@ def elpc_max_frame_rate_many(pipelines: Sequence[Pipeline],
     """Batched maximum-frame-rate heuristic for many pipelines over one network.
 
     The batched counterpart of
-    :func:`repro.core.elpc_framerate.elpc_max_frame_rate`: the min-max column
-    update runs on the CSR edge layout through the padded-slot segment
-    minimum, the per-pipeline visited-path guard is a ``(B, k, k)``
-    boolean tensor gathered along each stage's chosen predecessors, and the
-    destination-as-intermediate exclusion is applied per item (pipelines of
-    different lengths reach their last column at different stages).  Values,
-    feasibility outcomes and backtracked assignments are bit-identical to the
-    scalar heuristic.
+    :func:`repro.core.elpc_framerate.elpc_max_frame_rate`: one stage sweep
+    on recycled buffers over the CSR edge layout, with a ``(B, k, k)``
+    visited-path guard and per-item destination rules (pipelines of
+    different lengths reach their last column at different stages).
+    Values, feasibility outcomes, error messages and backtracked assignments
+    are bit-identical to the scalar heuristic.  Like it, items pass only the
+    linear checks of :func:`~repro.model.validation.check_framerate_instance`
+    first; an item with no simple path of exactly ``n`` nodes (NP-complete
+    to decide up front) gets the DP's own :class:`InfeasibleMappingError`.
 
     See :func:`elpc_min_delay_many` for parameters and batch semantics.
     """

@@ -864,25 +864,6 @@ class TransportNetwork:
         path.reverse()
         return path, best[destination]
 
-    def longest_simple_path_at_least(self, source: NodeId, destination: NodeId,
-                                     length: int, *, node_limit: int = 64) -> bool:
-        """``True`` if a simple source→destination path with ≥ ``length`` nodes exists.
-
-        Used for feasibility diagnostics of the no-reuse frame-rate problem
-        ("the pipeline is longer than the longest end-to-end path").  The
-        check is exact but exponential, so it is only attempted on networks
-        with at most ``node_limit`` nodes; larger networks conservatively
-        return ``True`` (feasibility is then discovered by the solver itself).
-        """
-        if self.n_nodes > node_limit:
-            return True
-        target = max(length, 1)
-        for path in nx.all_simple_paths(self._graph, source, destination,
-                                        cutoff=self.n_nodes):
-            if len(path) >= target:
-                return True
-        return source == destination and target <= 1
-
     # ------------------------------------------------------------------ #
     # Aggregate statistics (used by generators, reporting and Streamline)
     # ------------------------------------------------------------------ #

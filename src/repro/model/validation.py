@@ -4,8 +4,10 @@ The paper (Section 4.3) points out that "there may not exist any feasible
 mapping solution in some extreme test cases where the shortest end-to-end path
 is longer than the pipeline or the pipeline is longer than the longest
 end-to-end path but network nodes are not allowed for reuse".  The functions
-here detect those situations *before* running a solver, and double-check a
-produced mapping against the structural constraints of each problem variant.
+here detect, *before* running a solver, what linear-time checks can see —
+the second case is the NP-complete longest-path question, so the solvers
+report it themselves — and double-check a produced mapping against the
+structural constraints of each problem variant.
 """
 
 from __future__ import annotations
@@ -95,22 +97,17 @@ def check_delay_instance(pipeline: Pipeline, network: TransportNetwork,
 
 def check_framerate_instance(pipeline: Pipeline, network: TransportNetwork,
                              request: EndToEndRequest, *,
-                             exhaustive_node_limit: int = 32,
                              hops: Optional[int] = None) -> FeasibilityReport:
     """Feasibility of the restricted maximum-frame-rate problem (no node reuse).
 
     Without reuse the mapping is a *simple* path with exactly ``n`` nodes from
-    the source to the destination, so two structural obstructions exist:
-
-    * the pipeline is shorter than the shortest end-to-end path
-      (``n < hop_distance + 1``), or
-    * the pipeline is longer than the longest simple end-to-end path.
-
-    The second check is exact only on small networks (≤ ``exhaustive_node_limit``
-    nodes); larger networks are optimistically reported feasible and the
-    solver signals infeasibility if no exact-n-hop path is found.  ``hops``
-    optionally supplies a precomputed source→destination hop distance (``-1``
-    when disconnected), as in :func:`check_delay_instance`.
+    the source to the destination.  Only linear-time obstructions are
+    reported: disconnected endpoints, ``n < hop_distance + 1``, and more
+    modules than nodes.  Whether a simple path with exactly ``n`` nodes
+    exists is NP-complete (:mod:`repro.core.reduction`), so the solvers
+    report that case themselves.  ``hops`` optionally supplies a
+    precomputed source→destination hop distance (``-1`` when disconnected),
+    as in :func:`check_delay_instance`.
     """
     request.validate(network)
     n = pipeline.n_modules
@@ -132,13 +129,6 @@ def check_framerate_instance(pipeline: Pipeline, network: TransportNetwork,
             False,
             f"the pipeline has {n} modules but the network only has "
             f"{network.n_nodes} nodes and node reuse is not allowed",
-            hops, n)
-    if not network.longest_simple_path_at_least(request.source, request.destination,
-                                                n, node_limit=exhaustive_node_limit):
-        return FeasibilityReport(
-            False,
-            f"no simple path with {n} nodes exists between the source and the "
-            "destination (pipeline longer than the longest end-to-end path)",
             hops, n)
     return FeasibilityReport(True, None, hops, n)
 

@@ -1,7 +1,8 @@
 """Tests for the tensor engine's padded-slot staging (:mod:`repro.core.tensor`).
 
-* the padded-slot :func:`segment_min` contract and per-view
-  :func:`stage_view` caching;
+* the frame-rate sweep's padded-slot per-node minimum (brute-force minimum
+  and lowest-``u`` tie-break, unreachable cells, edgeless networks) and
+  per-view :func:`stage_view` caching;
 * the general ragged-batch path of both DP sweeps, pinned bit for bit
   against the same items solved one at a time over the full fixed-seed
   sweep, for both objectives and both cost-model variants.
@@ -12,21 +13,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.elpc_framerate import elpc_max_frame_rate
 from repro.core.mapping import PipelineMapping
 from repro.core.tensor import (
+    _framerate_stages,
+    _stage_arrays,
     elpc_max_frame_rate_many,
     elpc_min_delay_many,
-    segment_min,
     stage_view,
 )
 from repro.exceptions import InfeasibleMappingError
 from repro.generators import (
+    line_network,
     max_links,
     min_links_for_connectivity,
     random_network,
     random_pipeline,
     random_request,
 )
+from repro.model import EndToEndRequest
+from repro.model.cost import computing_time_ms, transport_time_ms
 
 
 def _make_instance(seed: int, n_modules: int, k_nodes: int, extra_links: int):
@@ -76,50 +82,124 @@ def _one_at_a_time(many, pipelines, network, requests, **kwargs):
 
 
 # --------------------------------------------------------------------------- #
-# segment_min contract
+# Per-node minimum contract of the frame-rate sweep
 # --------------------------------------------------------------------------- #
+def _cell_path(pred, j, v):
+    """The partial path realising stage-``j`` cell ``v`` (node indices)."""
+    path = [v]
+    for stage in range(j, 0, -1):
+        path.append(int(pred[stage, path[-1]]))
+    return path
+
+
 class TestSegmentMin:
-    def _staged(self, k=6, links=9, seed=3):
+    """The frame-rate sweep's padded-slot per-node minimum, on real solves.
+
+    Every cell is the minimum over its admissible in-edges, with the lowest
+    predecessor index among ties; a node with no finite in-edge is ``inf``
+    with ``pred = -1``; an edgeless network maps nothing past the source.
+    (The class keeps the name of the helper this contract once lived in, so
+    the test ids stay stable.)
+    """
+
+    def _uniform_network(self, k=8, links=16, seed=3):
+        """Equal powers, bandwidths and delays, so candidates tie often."""
         network = random_network(k, links, seed=seed)
+        for node_id in network.node_ids():
+            network.set_processing_power(node_id, 2.0)
+        for link in network.links():
+            network.set_bandwidth(link.start_node, link.end_node, 100.0)
+            network.set_link_delay(link.start_node, link.end_node, 1.0)
+        return network
+
+    def _tables(self, pipelines, network, requests):
         view = network.dense_view()
-        return view, stage_view(view)
+        n_arr = np.array([p.n_modules for p in pipelines])
+        src = np.array([view.index_of[r.source] for r in requests])
+        dst = np.array([view.index_of[r.destination] for r in requests])
+        workload, message = _stage_arrays(pipelines, range(len(pipelines)),
+                                          int(n_arr.max()))
+        return view, _framerate_stages(
+            stage_view(view), len(pipelines), n_arr, src, dst, workload,
+            message, include_link_delay=True)
 
     def test_matches_bruteforce_min_and_lowest_u(self):
-        view, staged = self._staged()
-        rng = np.random.default_rng(7)
-        values = rng.random((3, view.n_directed_edges))
-        # Force ties inside one node's segment to check the lowest-u rule.
-        lo, hi = view.edge_indptr[2], view.edge_indptr[3]
-        if hi - lo >= 2:
-            values[:, lo:hi] = 0.25
-        best, best_u = segment_min(values, staged)
-        for a in range(values.shape[0]):
-            for v in range(view.n_nodes):
-                seg = slice(view.edge_indptr[v], view.edge_indptr[v + 1])
-                entries = values[a, seg]
-                if entries.size == 0:
-                    assert np.isinf(best[a, v]) and best_u[a, v] == 0
-                    continue
-                assert best[a, v] == entries.min()
-                winners = view.edge_u[seg][entries == entries.min()]
-                assert best_u[a, v] == winners.min()
+        network = self._uniform_network()
+        node_ids = network.node_ids()
+        pipelines = [random_pipeline(n, seed=n) for n in (3, 5, 6, 4)]
+        requests = [EndToEndRequest(node_ids[0], node_ids[-1]),
+                    EndToEndRequest(node_ids[1], node_ids[2]),
+                    EndToEndRequest(node_ids[3], node_ids[0]),
+                    EndToEndRequest(node_ids[2], node_ids[5])]
+        view, (values, pred) = self._tables(pipelines, network, requests)
+        ties = 0
+        for a, (pipeline, request) in enumerate(zip(pipelines, requests)):
+            n = pipeline.n_modules
+            dst = view.index_of[request.destination]
+            for j in range(1, n):
+                module = pipeline.modules[j]
+                for v in range(view.n_nodes):
+                    if (v == dst) != (j == n - 1):
+                        assert np.isinf(values[a, j, v])
+                        continue
+                    v_id = view.node_ids[v]
+                    compute = computing_time_ms(network, v_id,
+                                                module.complexity,
+                                                module.input_bytes)
+                    cands = {}
+                    for u_id in network.neighbors(v_id):
+                        u = view.index_of[u_id]
+                        if (np.isinf(values[a, j - 1, u])
+                                or v in _cell_path(pred[a], j - 1, u)):
+                            continue
+                        cands[u] = max(values[a, j - 1, u], compute,
+                                       transport_time_ms(network, u_id, v_id,
+                                                         module.input_bytes))
+                    if not cands:
+                        assert np.isinf(values[a, j, v])
+                        assert pred[a, j, v] == -1
+                        continue
+                    best = min(cands.values())
+                    winners = sorted(u for u, c in cands.items() if c == best)
+                    ties += len(winners) > 1
+                    assert values[a, j, v] == best
+                    assert pred[a, j, v] == winners[0]
+        assert ties  # the uniform network must exercise the tie-break
 
     def test_all_inf_segment_normalises_argmin_to_zero(self):
-        view, staged = self._staged()
-        values = np.full((2, view.n_directed_edges), np.inf)
-        best, best_u = segment_min(values, staged)
-        assert np.isinf(best).all()
-        assert (best_u == 0).all()
+        # On a line, stage j reaches only the node j hops from the source:
+        # every other node has no finite in-edge.
+        network = line_network(6, seed=1)
+        pipelines = [random_pipeline(6, seed=1), random_pipeline(4, seed=2)]
+        requests = [EndToEndRequest(0, 5), EndToEndRequest(0, 3)]
+        _view, (values, pred) = self._tables(pipelines, network, requests)
+        for a, pipeline in enumerate(pipelines):
+            for j in range(pipelines[0].n_modules):
+                reached = j if j < pipeline.n_modules else None
+                for v in range(6):
+                    if v == reached:
+                        assert np.isfinite(values[a, j, v])
+                        assert pred[a, j, v] == (v - 1 if j else -1)
+                    else:
+                        assert np.isinf(values[a, j, v])
+                        assert pred[a, j, v] == -1
 
     def test_edgeless_network(self):
         from repro.model import ComputingNode, TransportNetwork
 
         network = TransportNetwork(nodes=[
             ComputingNode(node_id=i, processing_power=1.0) for i in range(4)])
-        staged = stage_view(network.dense_view())
-        best, best_u = segment_min(np.empty((2, 0)), staged)
-        assert best.shape == (2, 4) and np.isinf(best).all()
-        assert (best_u == 0).all()
+        pipelines = [random_pipeline(2, seed=1), random_pipeline(3, seed=2)]
+        requests = [EndToEndRequest(0, 0), EndToEndRequest(2, 2)]
+        _view, (values, pred) = self._tables(pipelines, network, requests)
+        assert values.shape == pred.shape == (2, 3, 4)
+        assert values[0, 0, 0] == values[1, 0, 2] == 0.0
+        assert np.isinf(values[:, 1:]).all() and (pred == -1).all()
+        entries = elpc_max_frame_rate_many(pipelines, network, requests)
+        assert all(isinstance(e, InfeasibleMappingError) for e in entries)
+        with pytest.raises(InfeasibleMappingError,
+                           match="found no simple path with exactly 2 nodes"):
+            elpc_max_frame_rate(pipelines[0], network, requests[0])
 
 
 # --------------------------------------------------------------------------- #

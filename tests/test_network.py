@@ -146,11 +146,6 @@ class TestPathQueries:
         _p, inf_cap = net.widest_path(2, 2)
         assert inf_cap == float("inf")
 
-    def test_longest_simple_path_at_least(self):
-        net = build_net()
-        assert net.longest_simple_path_at_least(0, 3, 4)   # 0-1-2-3 exists
-        assert not net.longest_simple_path_at_least(0, 3, 5)
-
 
 class TestMatrices:
     def test_adjacency_matrix_symmetric(self):

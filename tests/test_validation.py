@@ -54,29 +54,11 @@ class TestFramerateFeasibility:
         assert not report.feasible
         assert "node reuse" in report.reason
 
-    def test_pipeline_longer_than_longest_simple_path(self):
-        # Line 0-1-2-3-4 with request 0->2: longest simple path 0..2 has 3 nodes,
-        # a 4-module pipeline cannot be placed without reuse.
-        net = line_network(5, seed=2)
-        pipeline = random_pipeline(4, seed=2)
-        report = check_framerate_instance(pipeline, net, EndToEndRequest(0, 2))
-        assert not report.feasible
-        assert "longest" in report.reason
-
     def test_exact_fit_on_line(self):
         net = line_network(5, seed=2)
         pipeline = random_pipeline(5, seed=2)
         report = check_framerate_instance(pipeline, net, EndToEndRequest(0, 4))
         assert report.feasible
-
-    def test_large_network_skips_exhaustive_check(self):
-        from repro.generators import random_network
-        net = random_network(40, 100, seed=9)
-        pipeline = random_pipeline(10, seed=9)
-        report = check_framerate_instance(pipeline, net, EndToEndRequest(0, 1),
-                                          exhaustive_node_limit=10)
-        # With the exhaustive check skipped the report is optimistic.
-        assert report.feasible or report.reason is not None
 
 
 class TestMappingStructureValidation:
