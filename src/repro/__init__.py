@@ -11,16 +11,16 @@ Public API highlights
   the NumPy tensor engine solving one or many pipelines over one network in
   stacked array passes (``"elpc-tensor"``, the default engine), bit-identical
   to the ELPC algorithms above,
-* :func:`repro.solve_many` — batch API to run one solver over many instances,
-  optionally across worker processes; ``solver="elpc-tensor"`` groups the
-  batch by network and solves each group in one tensor call,
+* :func:`repro.solve_many` — batch API to run one solver over many instances;
+  ``solver="elpc-tensor"`` groups the batch by network and solves each group
+  in one tensor call,
 * :func:`repro.place_many` / :mod:`repro.placement` — multi-tenant joint
   placement: a batch of pipelines packed onto one cluster with finite
   per-node compute and per-link bandwidth budgets
   (:class:`repro.ClusterState`), via sequential packing (``"place-greedy"``)
   or a joint min-cost max-flow optimizer (``"place-flow"``),
 * :class:`repro.SolveOptions` — one frozen bundle for the batch-dispatch
-  knobs (solver, objective, workers, runner, chunk_size, solver_kwargs),
+  knobs (solver, objective, solver_kwargs),
   accepted as ``options=`` by :func:`repro.solve_many`,
   :func:`repro.place_many` and the service layer,
 * :func:`repro.solve` / :func:`repro.available_solvers` — name-based access to
@@ -58,7 +58,6 @@ from .core import (
     solve_many,
     place_many,
     SolveOptions,
-    ParallelBatchRunner,
 )
 from .exceptions import (
     AlgorithmError,
@@ -68,7 +67,6 @@ from .exceptions import (
     ReproError,
     SimulationError,
     SpecificationError,
-    UnsupportedStartMethodError,
 )
 from .model import (
     CommunicationLink,
@@ -112,7 +110,6 @@ __all__ = [
     "solve", "get_solver", "register_solver", "available_solvers",
     # batch engine
     "solve_many", "SolveOptions", "BatchItemResult", "BatchRunResult",
-    "ParallelBatchRunner",
     # multi-tenant placement
     "place_many", "ClusterState", "PlacementRequest", "PlacementItem",
     "PlacementResult", "validate_placements",
@@ -120,5 +117,4 @@ __all__ = [
     # exceptions
     "ReproError", "SpecificationError", "InfeasibleMappingError",
     "CapacityError", "AlgorithmError", "SimulationError", "MeasurementError",
-    "UnsupportedStartMethodError",
 ]

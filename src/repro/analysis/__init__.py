@@ -24,7 +24,6 @@ from .experiments import (
     FigureSeriesResult,
     PathIllustrationResult,
     RuntimeScalingResult,
-    ParallelBatchSpeedupResult,
     TensorBatchSpeedupResult,
     VectorizedSpeedupResult,
     reproduce_fig2,
@@ -33,7 +32,6 @@ from .experiments import (
     reproduce_fig5,
     reproduce_fig6,
     runtime_scaling,
-    parallel_batch_speedup,
     tensor_batch_speedup,
     vectorized_speedup,
     write_all_outputs,
@@ -56,7 +54,6 @@ __all__ = [
     "ascii_line_chart", "series_to_csv", "write_csv",
     "Fig2Result", "FigureSeriesResult", "PathIllustrationResult", "RuntimeScalingResult",
     "VectorizedSpeedupResult", "TensorBatchSpeedupResult",
-    "ParallelBatchSpeedupResult", "parallel_batch_speedup",
     "reproduce_fig2", "reproduce_fig3", "reproduce_fig4", "reproduce_fig5",
     "reproduce_fig6", "runtime_scaling", "vectorized_speedup",
     "tensor_batch_speedup", "write_all_outputs",

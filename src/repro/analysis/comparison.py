@@ -115,7 +115,6 @@ class AgreementReport:
     n_cases: int
     disagreements: List[SolverDisagreement] = field(default_factory=list)
     solver_time_s: Dict[str, float] = field(default_factory=dict)
-    workers: int = 1
 
     @property
     def ok(self) -> bool:
@@ -129,7 +128,6 @@ class AgreementReport:
             "objectives": [objective.value for objective in self.objectives],
             "cases": self.n_cases,
             "ok": self.ok,
-            "workers": self.workers,
             "disagreements": [d.describe() for d in self.disagreements],
             "solver_time_s": {name: round(t, 6)
                               for name, t in self.solver_time_s.items()},
@@ -140,8 +138,7 @@ def check_solver_agreement(instances: Iterable[ProblemInstance], *,
                            solvers: Sequence[str] = ELPC_ENGINES,
                            objectives: Sequence[Objective] = (
                                Objective.MIN_DELAY, Objective.MAX_FRAME_RATE),
-                           rel_tol: float = 1e-12,
-                           workers: Optional[int] = None) -> AgreementReport:
+                           rel_tol: float = 1e-12) -> AgreementReport:
     """Cross-check that interchangeable solvers produce identical results.
 
     The first entry of ``solvers`` is the reference; every other solver is
@@ -149,33 +146,16 @@ def check_solver_agreement(instances: Iterable[ProblemInstance], *,
     feasibility, and on feasible instances the objective values must match
     within ``rel_tol`` (the ELPC engines are bit-identical by construction, so
     the default tolerance only forgives float printing round-trips).  Batches
-    run through :func:`repro.core.batch.solve_many`, so ``workers=N``
-    exercises the shared-memory pool and the tensor engine's group dispatch
-    (sequential and inside worker chunks) through the check itself; the
-    worker count is recorded in the report so archived CI artifacts say which
-    path produced the numbers.
+    run through :func:`repro.core.batch.solve_many`, so the tensor engine's
+    group dispatch is exercised through the check itself.
     """
-    from ..core.parallel import maybe_runner
-
     suite = list(instances)
     report = AgreementReport(solvers=tuple(solvers), objectives=tuple(objectives),
-                             n_cases=len(suite), workers=int(workers or 1))
-    # One pool + one shared-memory export serve the whole cross-check, not a
-    # transient pool per (solver, objective) batch.
-    with maybe_runner(workers) as runner:
-        _check_agreement_batches(suite, solvers, objectives, report, runner,
-                                 rel_tol)
-    return report
-
-
-def _check_agreement_batches(suite, solvers, objectives,
-                             report: AgreementReport, runner,
-                             rel_tol: float) -> None:
+                             n_cases=len(suite))
     for objective in objectives:
         batches = {}
         for name in solvers:
-            batch = solve_many(suite, solver=name, objective=objective,
-                               workers=report.workers, runner=runner)
+            batch = solve_many(suite, solver=name, objective=objective)
             batches[name] = batch
             report.solver_time_s[name] = (report.solver_time_s.get(name, 0.0)
                                           + batch.wall_time_s)
@@ -197,6 +177,7 @@ def _check_agreement_batches(suite, solvers, objectives,
                             case_name=case_name, objective=objective,
                             solver=name, reference=reference, value=value,
                             reference_value=ref_value, kind="value"))
+    return report
 
 
 def run_case(instance: ProblemInstance, objective: Objective,
@@ -232,32 +213,25 @@ def run_case(instance: ProblemInstance, objective: Objective,
 
 def run_comparison(instances: Iterable[ProblemInstance], objective: Objective,
                    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
-                   *, workers: Optional[int] = None,
                    **solver_kwargs) -> ComparisonRun:
     """Run every requested algorithm on every instance of a suite.
 
     The campaign is executed through the batch engine
-    (:func:`repro.core.batch.solve_many`), one batch per algorithm; pass
-    ``workers=N`` to fan each batch out over ``N`` worker processes (results
-    are identical, just collected faster for slow solver/instance mixes).
+    (:func:`repro.core.batch.solve_many`), one batch per algorithm.
     """
     suite = list(instances)
     run = ComparisonRun(objective=objective, algorithms=tuple(algorithms))
     run.cases = [CaseResult(case_name=inst.name or "unnamed", objective=objective,
                             size_signature=inst.size_signature)
                  for inst in suite]
-    from ..core.parallel import maybe_runner
-
-    # One pool + one network export shared by every algorithm's batch.
-    with maybe_runner(workers) as runner:
-        for name in algorithms:
-            batch = solve_many(suite, solver=name, objective=objective,
-                               workers=workers, runner=runner, **solver_kwargs)
-            for case, item in zip(run.cases, batch):
-                case.add(AlgorithmResult(
-                    case_name=case.case_name, algorithm=name,
-                    objective=objective,
-                    value=item.objective_value(objective),
-                    runtime_s=item.runtime_s,
-                    mapping=item.mapping, error=item.error))
+    for name in algorithms:
+        batch = solve_many(suite, solver=name, objective=objective,
+                           **solver_kwargs)
+        for case, item in zip(run.cases, batch):
+            case.add(AlgorithmResult(
+                case_name=case.case_name, algorithm=name,
+                objective=objective,
+                value=item.objective_value(objective),
+                runtime_s=item.runtime_s,
+                mapping=item.mapping, error=item.error))
     return run

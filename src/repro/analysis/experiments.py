@@ -41,10 +41,9 @@ from .reporting import comparison_table, fig2_table, mapping_walkthrough
 __all__ = [
     "Fig2Result", "FigureSeriesResult", "PathIllustrationResult", "RuntimeScalingResult",
     "VectorizedSpeedupResult", "TensorBatchSpeedupResult",
-    "ParallelBatchSpeedupResult",
     "reproduce_fig2", "reproduce_fig3", "reproduce_fig4",
     "reproduce_fig5", "reproduce_fig6", "runtime_scaling", "vectorized_speedup",
-    "tensor_batch_speedup", "parallel_batch_speedup", "write_all_outputs",
+    "tensor_batch_speedup", "write_all_outputs",
 ]
 
 
@@ -204,8 +203,7 @@ def tensor_batch_speedup(*, batch_sizes: Sequence[int] = (8, 32, 64),
                          n_modules: int = 40, k_nodes: int = 48,
                          n_links: int = 96, seed: int = 11,
                          repetitions: int = 1,
-                         objective: Objective = Objective.MIN_DELAY,
-                         workers: Optional[int] = None
+                         objective: Objective = Objective.MIN_DELAY
                          ) -> TensorBatchSpeedupResult:
     """Measure the tensor engine's batched-throughput win over a per-item loop.
 
@@ -215,11 +213,7 @@ def tensor_batch_speedup(*, batch_sizes: Sequence[int] = (8, 32, 64),
     ``repetitions`` passes each).  Both passes run warm — the dense view and
     its CSR edge layout are built once, exactly as in a sweep campaign — and
     every produced objective value is cross-checked so the timing claim can
-    never drift away from the equivalence claim.  ``workers=N`` runs both
-    engines on a persistent :class:`~repro.core.parallel.ParallelBatchRunner`
-    (the pool and the shared-memory network export are set up outside the
-    timed region); the batched path then runs one grouped solve per worker
-    chunk.
+    never drift away from the equivalence claim.
     """
     batch_sizes = sorted(int(b) for b in batch_sizes)
     network = random_network(k_nodes, n_links, seed=seed)
@@ -234,162 +228,30 @@ def tensor_batch_speedup(*, batch_sizes: Sequence[int] = (8, 32, 64),
         for b in range(max(batch_sizes))
     ]
     network.dense_view()  # warm the shared view outside the timed region
-    from ..core.parallel import maybe_runner
 
     looped_s: List[float] = []
     tensor_s: List[float] = []
     mismatches = 0
-    with maybe_runner(workers) as runner:
-        if runner is not None:
-            # Warm the pool and the shared-memory export outside the timed
-            # region.
-            solve_many(instances[:2], solver="elpc-tensor",
-                       objective=objective, runner=runner)
-        for B in batch_sizes:
-            sub = instances[:B]
-            best_looped = best_tensor = float("inf")
-            for _ in range(max(repetitions, 1)):
-                looped = [solve_many([instance], solver="elpc-tensor",
-                                     objective=objective, runner=runner)
-                          for instance in sub]
-                tensor = solve_many(sub, solver="elpc-tensor",
-                                    objective=objective, runner=runner)
-                best_looped = min(best_looped,
-                                  sum(run.wall_time_s for run in looped))
-                best_tensor = min(best_tensor, tensor.wall_time_s)
-                looped_values = [v for run in looped for v in run.values()]
-                for a, b in zip(looped_values, tensor.values()):
-                    if a != b:
-                        mismatches += 1
-            looped_s.append(best_looped)
-            tensor_s.append(best_tensor)
+    for B in batch_sizes:
+        sub = instances[:B]
+        best_looped = best_tensor = float("inf")
+        for _ in range(max(repetitions, 1)):
+            looped = [solve_many([instance], solver="elpc-tensor",
+                                 objective=objective)
+                      for instance in sub]
+            tensor = solve_many(sub, solver="elpc-tensor", objective=objective)
+            best_looped = min(best_looped,
+                              sum(run.wall_time_s for run in looped))
+            best_tensor = min(best_tensor, tensor.wall_time_s)
+            looped_values = [v for run in looped for v in run.values()]
+            for a, b in zip(looped_values, tensor.values()):
+                if a != b:
+                    mismatches += 1
+        looped_s.append(best_looped)
+        tensor_s.append(best_tensor)
     return TensorBatchSpeedupResult(
         batch_sizes=list(batch_sizes), n_modules=n_modules, k_nodes=k_nodes,
         n_links=n_links, looped_s=looped_s, tensor_s=tensor_s,
-        value_mismatches=mismatches)
-
-
-@dataclass
-class ParallelBatchSpeedupResult:
-    """Throughput of one batch across worker counts on the parallel runtime.
-
-    Produced by :func:`parallel_batch_speedup`: the same ``batch_size``
-    small instances (over ``n_networks`` shared networks) are solved once per
-    entry of ``worker_counts`` — ``workers=1`` is the sequential reference —
-    and every parallel run's values are cross-checked against it
-    (``value_mismatches`` stays 0: the shared-memory workers are
-    bit-identical by construction, and
-    ``benchmarks/test_bench_parallel_batch.py`` asserts it for both ELPC
-    engines).
-    """
-
-    worker_counts: List[int]
-    batch_size: int
-    n_modules: int
-    k_nodes: int
-    n_links: int
-    n_networks: int
-    wall_s: List[float]
-    solver: str = "elpc-tensor"
-    value_mismatches: int = 0
-
-    def speedups(self) -> List[float]:
-        """Per-worker-count speedup over the ``workers=1`` entry."""
-        base = self.wall_s[self.worker_counts.index(1)]
-        return [base / t for t in self.wall_s]
-
-    def table_text(self) -> str:
-        """Human-readable per-worker-count throughput table."""
-        header = (f"{'workers':>8} {'batch':>6} {'modules':>8} {'nodes':>6} "
-                  f"{'networks':>9} {'wall':>12} {'x':>6}")
-        lines = [(f"Shared-memory parallel batch runtime, solver="
-                  f"{self.solver} (best-of-run seconds)"),
-                 header, "-" * len(header)]
-        for workers, wall, ratio in zip(self.worker_counts, self.wall_s,
-                                        self.speedups()):
-            lines.append(f"{workers:>8} {self.batch_size:>6} "
-                         f"{self.n_modules:>8} {self.k_nodes:>6} "
-                         f"{self.n_networks:>9} {wall:>12.6f} {ratio:>6.1f}")
-        return "\n".join(lines)
-
-    def metrics(self) -> Dict[str, Dict[str, float]]:
-        """Flat metric dict in the shared ``repro-bench/1`` JSON schema."""
-        return {
-            f"parallel_batch/{self.solver}_w{workers}_B{self.batch_size}":
-                {"mean_s": wall}
-            for workers, wall in zip(self.worker_counts, self.wall_s)
-        }
-
-
-def parallel_batch_speedup(*, worker_counts: Sequence[int] = (1, 2, 4),
-                           batch_size: int = 256, n_modules: int = 8,
-                           k_nodes: int = 20, n_links: int = 40,
-                           n_networks: int = 8, seed: int = 23,
-                           repetitions: int = 1,
-                           objective: Objective = Objective.MIN_DELAY,
-                           solver: str = "elpc-tensor"
-                           ) -> ParallelBatchSpeedupResult:
-    """Measure how a small-instance batch scales with worker processes.
-
-    The workload is the regime the shared-memory runtime exists for: many
-    (``batch_size``, default 256) *small* instances (default 8-module
-    pipelines on 20-node networks, ``n_networks`` distinct topologies reused
-    round-robin), where the old per-item-pickling pool lost to its own
-    serialisation costs.  Each worker count is measured as the best of
-    ``repetitions`` passes on a warm persistent
-    :class:`~repro.core.parallel.ParallelBatchRunner` — the pool is started
-    and the networks are exported once before timing, exactly how a campaign
-    would hold a runner open — and every parallel run's values are compared
-    item by item against the sequential reference.
-    """
-    worker_counts = [int(w) for w in worker_counts]
-    if 1 not in worker_counts:
-        worker_counts = [1] + worker_counts
-    from ..generators.network_gen import random_request
-
-    networks = [random_network(k_nodes, n_links, seed=seed + i)
-                for i in range(n_networks)]
-    instances = []
-    for b in range(batch_size):
-        network = networks[b % n_networks]
-        instances.append(ProblemInstance(
-            pipeline=random_pipeline(n_modules, seed=seed + 100 + b),
-            network=network,
-            request=random_request(network, seed=seed + 200 + b,
-                                   min_hop_distance=1),
-            name=f"parallel-batch-{b}"))
-    for network in networks:
-        network.dense_view()  # warm the shared views outside the timed region
-    reference = solve_many(instances, solver=solver, objective=objective)
-    ref_values = reference.values()
-    wall_s: List[float] = []
-    mismatches = 0
-    for workers in worker_counts:
-        best = float("inf")
-        if workers <= 1:
-            for _ in range(max(repetitions, 1)):
-                run = solve_many(instances, solver=solver, objective=objective)
-                best = min(best, run.wall_time_s)
-                mismatches += sum(1 for a, b in zip(ref_values, run.values())
-                                  if a != b)
-        else:
-            from ..core.parallel import ParallelBatchRunner
-
-            with ParallelBatchRunner(workers=workers) as runner:
-                solve_many(instances, solver=solver, objective=objective,
-                           runner=runner)  # warm pool + exports, untimed
-                for _ in range(max(repetitions, 1)):
-                    run = solve_many(instances, solver=solver,
-                                     objective=objective, runner=runner)
-                    best = min(best, run.wall_time_s)
-                    mismatches += sum(1 for a, b
-                                      in zip(ref_values, run.values())
-                                      if a != b)
-        wall_s.append(best)
-    return ParallelBatchSpeedupResult(
-        worker_counts=worker_counts, batch_size=batch_size,
-        n_modules=n_modules, k_nodes=k_nodes, n_links=n_links,
-        n_networks=n_networks, wall_s=wall_s, solver=solver,
         value_mismatches=mismatches)
 
 
@@ -484,17 +346,15 @@ def _scaling_instances(sizes: Sequence[Tuple[int, int, int]],
 
 def runtime_scaling(*, sizes: Optional[Sequence[Tuple[int, int, int]]] = None,
                     seed: int = 7, repetitions: int = 1,
-                    solver: str = "elpc",
-                    workers: Optional[int] = None) -> RuntimeScalingResult:
+                    solver: str = "elpc") -> RuntimeScalingResult:
     """Measure ELPC runtimes across problem sizes (the §4.3 "milliseconds to seconds" claim).
 
     ``sizes`` is a sequence of (modules, nodes, links) triples; the default
     sweep spans two orders of magnitude of n·|E| work.  The sweep runs through
     the batch engine (:func:`repro.core.batch.solve_many`): ``solver`` picks
     any registered algorithm pair by name (``"elpc"``, the default, measures
-    the scalar reference, ``"elpc-tensor"`` the tensor engine) and
-    ``workers`` optionally spreads each pass over worker processes.  Per-size runtime is the best of
-    ``repetitions`` passes.  Infeasible frame-rate instances still contribute
+    the scalar reference, ``"elpc-tensor"`` the tensor engine).  Per-size
+    runtime is the best of ``repetitions`` passes.  Infeasible frame-rate instances still contribute
     their (failed) solve time, as the paper's scaling study counts algorithm
     work, not solution quality.
     """
@@ -504,22 +364,16 @@ def runtime_scaling(*, sizes: Optional[Sequence[Tuple[int, int, int]]] = None,
     instances = _scaling_instances(sizes, seed)
     delay_times = [float("inf")] * len(instances)
     framerate_times = [float("inf")] * len(instances)
-    from ..core.parallel import maybe_runner
-
-    # One pool + one export shared by every repetition and objective.
-    with maybe_runner(workers) as runner:
-        for _ in range(max(repetitions, 1)):
-            delay_batch = solve_many(instances, solver=solver,
-                                     objective=Objective.MIN_DELAY,
-                                     workers=workers, runner=runner)
-            framerate_batch = solve_many(instances, solver=solver,
-                                         objective=Objective.MAX_FRAME_RATE,
-                                         workers=workers, runner=runner)
-            delay_times = [min(b, item.runtime_s)
-                           for b, item in zip(delay_times, delay_batch)]
-            framerate_times = [min(b, item.runtime_s)
-                               for b, item in zip(framerate_times,
-                                                  framerate_batch)]
+    for _ in range(max(repetitions, 1)):
+        delay_batch = solve_many(instances, solver=solver,
+                                 objective=Objective.MIN_DELAY)
+        framerate_batch = solve_many(instances, solver=solver,
+                                     objective=Objective.MAX_FRAME_RATE)
+        delay_times = [min(b, item.runtime_s)
+                       for b, item in zip(delay_times, delay_batch)]
+        framerate_times = [min(b, item.runtime_s)
+                           for b, item in zip(framerate_times,
+                                              framerate_batch)]
     return RuntimeScalingResult(sizes=[tuple(s) for s in sizes],
                                 delay_runtimes_s=delay_times,
                                 framerate_runtimes_s=framerate_times,
@@ -527,8 +381,8 @@ def runtime_scaling(*, sizes: Optional[Sequence[Tuple[int, int, int]]] = None,
 
 
 def vectorized_speedup(*, sizes: Optional[Sequence[Tuple[int, int, int]]] = None,
-                       seed: int = 7, repetitions: int = 1,
-                       workers: Optional[int] = None) -> VectorizedSpeedupResult:
+                       seed: int = 7, repetitions: int = 1
+                       ) -> VectorizedSpeedupResult:
     """Measure the ``elpc-tensor`` engine's speedup over the scalar ``elpc`` DP.
 
     Runs :func:`runtime_scaling` twice over the *same* instances (same seed)
@@ -536,16 +390,14 @@ def vectorized_speedup(*, sizes: Optional[Sequence[Tuple[int, int, int]]] = None
     per call — and pairs the runtimes up.  The tensor pass is warmed by the
     scalar pass's dense view only through the per-network cache, so its
     first solve still pays the one-off O(k²) view construction, exactly what
-    a cold production solve would.  ``workers=N`` fans both passes out over the
-    shared-memory pool; per-size runtimes are still per-item solver times, so
-    the speedup pairing stays meaningful under parallelism.
+    a cold production solve would.
     """
     if sizes is None:
         sizes = [(10, 30, 90), (20, 60, 240), (30, 120, 600), (40, 250, 1200)]
     scalar = runtime_scaling(sizes=sizes, seed=seed, repetitions=repetitions,
-                             solver="elpc", workers=workers)
+                             solver="elpc")
     tensor = runtime_scaling(sizes=sizes, seed=seed, repetitions=repetitions,
-                             solver="elpc-tensor", workers=workers)
+                             solver="elpc-tensor")
     return VectorizedSpeedupResult(sizes=[tuple(s) for s in sizes],
                                    scalar=scalar, tensor=tensor)
 

@@ -136,16 +136,13 @@ def replicate_case(spec: CaseSpec, n_replicates: int, *,
                    objective: Objective = Objective.MIN_DELAY,
                    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
                    ranges: ParameterRanges = DEFAULT_RANGES,
-                   base_seed: Optional[int] = None,
-                   workers: Optional[int] = None) -> ReplicatedCaseResult:
+                   base_seed: Optional[int] = None) -> ReplicatedCaseResult:
     """Run ``n_replicates`` fresh random draws of one case specification.
 
     Each replicate re-draws the pipeline, the network topology/attributes and
     the request with a distinct seed derived from ``base_seed`` (default: the
     spec's own seed), then runs every algorithm over the whole replicate batch
-    via :func:`repro.core.batch.solve_many` — one batch per algorithm, so
-    tensor solvers get same-network grouping and ``workers=N`` fans the sweep
-    out over the shared-memory pool.  *Every* failed replicate — infeasible
+    via :func:`repro.core.batch.solve_many`, one batch per algorithm.  *Every* failed replicate — infeasible
     instances and any other recorded :class:`~repro.exceptions.ReproError`
     (bad spec, solver error) alike — is recorded as NaN, the per-item error
     policy of :func:`solve_many`, so one pathological replicate can no longer
@@ -170,17 +167,13 @@ def replicate_case(spec: CaseSpec, n_replicates: int, *,
         instances.append(ProblemInstance(
             pipeline=pipeline, network=network, request=request,
             name=f"case{spec.case_number}-r{replicate}"))
-    from ..core.parallel import maybe_runner
-
-    with maybe_runner(workers) as runner:
-        for name in algorithms:
-            batch = solve_many(instances, solver=name, objective=objective,
-                               runner=runner)
-            values = []
-            for item in batch:
-                value = item.objective_value(objective)
-                values.append(float("nan") if value is None else value)
-            result.values[name] = values
+    for name in algorithms:
+        batch = solve_many(instances, solver=name, objective=objective)
+        values = []
+        for item in batch:
+            value = item.objective_value(objective)
+            values.append(float("nan") if value is None else value)
+        result.values[name] = values
     return result
 
 

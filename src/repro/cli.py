@@ -89,8 +89,6 @@ def _build_map_parser(prog: str = "repro-map") -> argparse.ArgumentParser:
                         help="with --workload: solve a batch of N instances "
                              "(random networks seeded seed..seed+N-1) through "
                              "repro.solve_many and print a summary table")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for --batch-seeds (default: in-process)")
     parser.add_argument("--list-algorithms", action="store_true",
                         help="list registered algorithms and exit")
     return parser
@@ -134,12 +132,11 @@ def _batch_instances(args: argparse.Namespace) -> List[ProblemInstance]:
 
 def _run_batch(args: argparse.Namespace, objective: Objective) -> int:
     instances = _batch_instances(args)
-    options = SolveOptions(solver=args.algorithm, objective=objective,
-                           workers=args.workers)
+    options = SolveOptions(solver=args.algorithm, objective=objective)
     result = solve_many(instances, options=options)
     unit = "ms delay" if objective is Objective.MIN_DELAY else "fps"
     print(f"batch: {len(result)} instances, solver={result.solver}, "
-          f"objective={objective.value}, workers={result.workers}")
+          f"objective={objective.value}")
     for item in result:
         if item.ok:
             value = item.objective_value(objective)
@@ -199,10 +196,6 @@ def _build_bench_parser() -> argparse.ArgumentParser:
     parser.add_argument("--skip-agreement", action="store_true",
                         help="skip the elpc / elpc-tensor cross-check "
                              "(agreement failures exit 3)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="run the engine cross-check over N worker "
-                             "processes (shared-memory pool; results must "
-                             "stay identical to the in-process run)")
     return parser
 
 
@@ -223,8 +216,7 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
         written = write_all_outputs(args.output, max_cases=args.max_cases)
         if not args.skip_agreement:
             agreement = check_solver_agreement(
-                paper_case_suite(max_cases=args.max_cases),
-                workers=args.workers)
+                paper_case_suite(max_cases=args.max_cases))
     except ReproError as exc:  # pragma: no cover - defensive
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -290,9 +282,6 @@ def _build_bench_scaling_parser(prog: str = "repro bench-scaling"
                         help="seed of the random instance per size")
     parser.add_argument("--repetitions", "-r", type=int, default=1,
                         help="measure best-of-N passes per solver")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="fan both passes out over N worker processes "
-                             "(shared-memory pool; default: in-process)")
     return parser
 
 
@@ -304,8 +293,7 @@ def main_bench_scaling(argv: Optional[Sequence[str]] = None, *,
     try:
         sizes = _parse_sizes(args.sizes) if args.sizes else None
         result = vectorized_speedup(sizes=sizes, seed=args.seed,
-                                    repetitions=args.repetitions,
-                                    workers=args.workers)
+                                    repetitions=args.repetitions)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -331,9 +319,6 @@ def _build_bench_batch_parser(prog: str = "repro bench-batch"
                         help="seed of the shared network and the instances")
     parser.add_argument("--repetitions", "-r", type=int, default=1,
                         help="measure best-of-N passes per engine")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="run both engines on a persistent N-worker "
-                             "shared-memory pool (default: in-process)")
     return parser
 
 
@@ -349,8 +334,7 @@ def main_bench_batch(argv: Optional[Sequence[str]] = None, *,
                              "positive integers")
         result = tensor_batch_speedup(
             batch_sizes=sizes, n_modules=args.modules, k_nodes=args.nodes,
-            n_links=args.links, seed=args.seed, repetitions=args.repetitions,
-            workers=args.workers)
+            n_links=args.links, seed=args.seed, repetitions=args.repetitions)
     except ValueError:
         print(f"error: bad --batch-sizes {args.batch_sizes!r}; values must be "
               "integers", file=sys.stderr)
@@ -382,9 +366,6 @@ def _build_serve_parser(prog: str = "repro serve") -> argparse.ArgumentParser:
                              "supervised with crash restart and graceful "
                              "drain (default: 1 = single process, POSIX only "
                              "above that)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="back every flush with a persistent N-worker "
-                             "shared-memory pool (default: in-process)")
     parser.add_argument("--max-batch", type=int, default=32,
                         help="flush as soon as this many requests are queued")
     parser.add_argument("--max-wait-ms", type=float, default=2.0,
@@ -447,7 +428,6 @@ def main_serve(argv: Optional[Sequence[str]] = None, *,
         get_solver(args.solver, Objective.MIN_DELAY)
         config = ServiceConfig(max_batch=args.max_batch,
                                max_wait_ms=args.max_wait_ms,
-                               workers=args.workers,
                                default_solver=args.solver,
                                max_body_bytes=args.max_body_bytes,
                                admission_control=args.admission_control,
@@ -466,7 +446,6 @@ def main_serve(argv: Optional[Sequence[str]] = None, *,
                   f"(solver={config.default_solver}, "
                   f"max_batch={config.max_batch}, "
                   f"max_wait_ms={config.max_wait_ms:g}, "
-                  f"workers={int(config.workers or 1)}, "
                   f"replicas={sup.replicas}, "
                   f"listener={'so_reuseport' if sup.reuse_port else 'shared-fd'}"
                   + (", admission=shared-ledger"
@@ -503,8 +482,7 @@ def main_serve(argv: Optional[Sequence[str]] = None, *,
             print(f"repro-serve listening on {server.host}:{server.port} "
                   f"(solver={config.default_solver}, "
                   f"max_batch={config.max_batch}, "
-                  f"max_wait_ms={config.max_wait_ms:g}, "
-                  f"workers={int(config.workers or 1)})", flush=True)
+                  f"max_wait_ms={config.max_wait_ms:g})", flush=True)
 
         await serve(config, host=args.host, port=args.port, stop=stop,
                     announce=announce)

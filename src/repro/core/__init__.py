@@ -11,12 +11,7 @@
   (which stay as the test oracle).
 * :mod:`repro.core.batch` — :func:`solve_many`, the batch API behind the
   experiment sweeps and the CLI; same-network groups of an ``"elpc-tensor"``
-  batch run through the tensor engine in one call per group, sequentially and
-  inside every worker chunk alike.
-* :mod:`repro.core.parallel` — :class:`ParallelBatchRunner`, the
-  shared-memory worker-pool runtime behind ``solve_many(workers=N)``:
-  networks are exported once per topology, instances travel as lightweight
-  chunked specs, and results stay bit-identical to sequential solves.
+  batch run through the tensor engine in one call per group.
 * :mod:`repro.core.exact` — exponential optimality oracles used by the tests
   and the ablation benchmarks.
 * :mod:`repro.core.reduction` — the Hamiltonian-Path → ENSP reduction behind
@@ -56,7 +51,6 @@ from .batch import (
     place_many,
     solve_many,
 )
-from .parallel import ParallelBatchRunner
 from .registry import available_solvers, get_solver, register_solver, solve
 from .tensor import (
     elpc_max_frame_rate_many,
@@ -73,7 +67,7 @@ __all__ = [
     "elpc_min_delay_many", "elpc_max_frame_rate_many",
     "elpc_min_delay_tensor", "elpc_max_frame_rate_tensor",
     "BatchItemResult", "BatchRunResult", "SolveOptions", "solve_many",
-    "place_many", "ParallelBatchRunner",
+    "place_many",
     "exhaustive_min_delay", "exhaustive_max_frame_rate", "enumerate_exact_hop_paths",
     "Objective", "PipelineMapping", "mapping_from_assignment",
     "ENSPInstance", "hamiltonian_path_to_ensp", "verify_ensp_certificate",

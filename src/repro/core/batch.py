@@ -3,8 +3,7 @@
 Experiment sweeps (the Fig. 2 / Fig. 5 / Fig. 6 campaigns, the runtime-scaling
 study, parameter sensitivity scans) all share the same shape: *solve every
 instance of a suite with one algorithm and collect objective values, runtimes
-and failures*.  :func:`solve_many` is that loop as a first-class API —
-sequential by default, optionally fanned out over a process pool — and the
+and failures*.  :func:`solve_many` is that loop as a first-class API, and the
 comparison harness (:func:`repro.analysis.comparison.run_comparison`) and the
 CLI (``repro solve --batch-seeds``, ``repro bench-scaling``) are built on it.
 
@@ -13,9 +12,7 @@ the comparison harness has always used: one pathological case must not kill a
 whole campaign.  That covers *unexpected* exceptions too (say, a NumPy error
 out of a malformed network): the item records the exception's class name,
 message and formatted traceback (:attr:`BatchItemResult.traceback`) and the
-rest of the batch proceeds — in pool mode this also keeps unpicklable
-exception objects from tearing down the whole pool, since only strings cross
-the process boundary.
+rest of the batch proceeds.
 
 Tensor dispatch
 ---------------
@@ -25,32 +22,13 @@ each group to the batched tensor engine (:mod:`repro.core.tensor`) in a
 single call, which advances all of the group's DP columns together.
 Heterogeneous batches — every instance on its own network — degenerate to
 per-instance solves through the same code path, so results are always
-identical to a per-item loop; only the throughput changes.  The grouping
-composes with ``workers > 1``: each worker chunk is dispatched through the
-same group solver, so a parallel tensor batch runs ``workers`` tensor engines
-side by side instead of silently falling back to per-item scalar solves.
-Items solved in a batched group share a ``group_id`` and report the group's
-wall time (:attr:`BatchItemResult.group_wall_s`) next to the uniformly
-averaged ``runtime_s``.
+identical to a per-item loop; only the throughput changes.  Items solved in
+a batched group share a ``group_id`` and report the group's wall time
+(:attr:`BatchItemResult.group_wall_s`) next to the uniformly averaged
+``runtime_s``.
 
 See ``docs/ARCHITECTURE.md`` for the engine layer map and the engine
 selection guide.
-
-Multiprocessing notes
----------------------
-With ``workers > 1`` the batch runs on the shared-memory runtime of
-:mod:`repro.core.parallel`: every distinct network is exported **once** into
-a :mod:`multiprocessing.shared_memory` block (workers re-wrap the dense-view
-arrays zero-copy), and instances travel as lightweight pipeline specs in
-chunks rather than one network pickle per solve.  This makes ``workers=N``
-pay off even for large batches of *small* instances — the regime the old
-per-item-pickling pool lost to its own serialisation costs — while results
-stay bit-identical to ``workers=1`` for every solver.  The solver must still
-be given *by registry name* (a callable may not survive pickling —
-:class:`~repro.exceptions.SpecificationError` is raised up front).  For
-repeated batches, keep one :class:`repro.core.parallel.ParallelBatchRunner`
-open and pass it as ``runner=``: the worker pool and the exported networks
-persist across calls.
 """
 
 from __future__ import annotations
@@ -78,7 +56,6 @@ from .mapping import Objective, PipelineMapping
 from .registry import get_solver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .parallel import ParallelBatchRunner
     from .warm import WarmState
 
 __all__ = ["BatchItemResult", "BatchRunResult", "SolveOptions", "solve_many",
@@ -102,7 +79,7 @@ InstanceLike = Union[ProblemInstance,
 class SolveOptions:
     """One bundle for the batch-dispatch knobs that used to travel as kwargs.
 
-    Every consumer of the five knobs — :func:`solve_many`,
+    Every consumer of the three knobs — :func:`solve_many`,
     :func:`place_many`, :class:`repro.service.ServiceConfig` /
     :class:`repro.service.SolveService`, and the CLI helpers — accepts an
     ``options=SolveOptions(...)`` argument.  Every field defaults to ``None``
@@ -123,13 +100,9 @@ class SolveOptions:
 
     solver: Union[str, Callable[..., PipelineMapping], None] = None
     objective: Optional[Objective] = None
-    workers: Optional[int] = None
-    runner: Optional["ParallelBatchRunner"] = None
-    chunk_size: Optional[int] = None
     solver_kwargs: Optional[Dict[str, object]] = None
 
-    def merged_with(self, *, solver=None, objective=None, workers=None,
-                    runner=None, chunk_size=None,
+    def merged_with(self, *, solver=None, objective=None,
                     solver_kwargs: Optional[Dict[str, object]] = None
                     ) -> "SolveOptions":
         """This bundle merged with legacy kwargs (conflict → ``ValueError``).
@@ -166,14 +139,10 @@ class SolveOptions:
         return SolveOptions(
             solver=pick("solver", self.solver, solver),
             objective=pick("objective", self.objective, objective),
-            workers=pick("workers", self.workers, workers),
-            runner=pick("runner", self.runner, runner),
-            chunk_size=pick("chunk_size", self.chunk_size, chunk_size),
             solver_kwargs=merged_kwargs)
 
 
 def _resolve_options(options: Optional[SolveOptions], *, solver, objective,
-                     workers, runner, chunk_size,
                      solver_kwargs: Dict[str, object]) -> SolveOptions:
     """Merge ``options`` with legacy kwargs (either side may be empty)."""
     base = options if options is not None else SolveOptions()
@@ -181,8 +150,7 @@ def _resolve_options(options: Optional[SolveOptions], *, solver, objective,
         raise SpecificationError(
             f"options must be a SolveOptions, got {type(base).__name__}")
     return base.merged_with(solver=solver, objective=objective,
-                            workers=workers, runner=runner,
-                            chunk_size=chunk_size, solver_kwargs=solver_kwargs)
+                            solver_kwargs=solver_kwargs)
 
 
 @dataclass(frozen=True)
@@ -204,18 +172,16 @@ class BatchItemResult:
     runtime_s:
         Wall-clock time of this solve (including the failure path).  Items
         solved inside a *tensor* same-network group share one engine call, so
-        for them this is the group's wall time divided by the group size;
-        items of a parallel worker chunk are timed individually and
-        ``runtime_s`` is their own solve time.  ``group_wall_s`` carries the
-        undivided group/chunk wall time in both cases.
+        for them this is the group's wall time divided by the group size,
+        and ``group_wall_s`` carries the undivided group wall time.
     traceback:
         Formatted traceback string when an *unexpected* exception was
         recorded (``None`` for clean solves and for ordinary
         infeasibility/specification failures).
     group_id:
-        Identifier of the batched group (tensor same-network group, or a
-        parallel worker chunk) this item was solved in; ``None`` for plain
-        per-item solves.  Unique within one :class:`BatchRunResult`.
+        Identifier of the tensor same-network group this item was solved
+        in; ``None`` for plain per-item solves.  Unique within one
+        :class:`BatchRunResult`.
     group_size:
         Number of items solved together in this item's group (1 for per-item
         solves).
@@ -263,7 +229,6 @@ class BatchRunResult:
     objective: Objective
     items: List[BatchItemResult] = field(default_factory=list)
     wall_time_s: float = 0.0
-    workers: int = 1
     warm_states: Optional[List[Optional["WarmState"]]] = field(
         default=None, repr=False, compare=False)
     warm_reused: int = 0
@@ -294,17 +259,16 @@ class BatchRunResult:
         return [item.objective_value(self.objective) for item in self.items]
 
     def total_solver_time_s(self) -> float:
-        """Sum of per-item solve times (≥ ``wall_time_s`` under parallelism)."""
+        """Sum of per-item solve times."""
         return sum(item.runtime_s for item in self.items)
 
     def group_times(self) -> Dict[int, Tuple[int, float]]:
         """Per-group wall times: ``group_id -> (group_size, wall_s)``.
 
-        Covers items solved in batched groups — tensor same-network groups
-        (where ``runtime_s`` is ``wall_s / group_size``) and parallel worker
-        chunks (where items are individually timed and ``wall_s`` is the
-        chunk's total).  Sequential per-item solves carry no group and are
-        not listed — their undivided wall time is their own ``runtime_s``.
+        Covers items solved in tensor same-network groups (where
+        ``runtime_s`` is ``wall_s / group_size``).  Per-item solves carry no
+        group and are not listed — their undivided wall time is their own
+        ``runtime_s``.
         """
         groups: Dict[int, Tuple[int, float]] = {}
         for item in self.items:
@@ -329,15 +293,13 @@ def uses_tensor_dispatch(solver: Union[str, Callable[..., PipelineMapping]],
                          objective: Objective) -> bool:
     """``True`` when ``solver`` names the *builtin* tensor engine.
 
-    This is the one dispatch-policy predicate shared by :func:`solve_many`,
-    the parallel runtime (per worker chunk) and the service layer
-    (:mod:`repro.service`, which uses it to decide whether coalesced requests
-    can ride a same-network tensor group).  Group dispatch hands whole
+    This is the one dispatch-policy predicate shared by :func:`solve_many`
+    and the service layer (:mod:`repro.service`, which uses it to decide
+    whether coalesced requests can ride a same-network tensor group).  Group dispatch hands whole
     batches to :mod:`repro.core.tensor` directly, so it must only engage
     while the registry still serves the builtin under that name — a user
     override of ``"elpc-tensor"`` (which the registry guarantees always
-    wins) falls back to ordinary per-item solves through the override,
-    sequentially and in worker chunks alike.
+    wins) falls back to ordinary per-item solves through the override.
     """
     if not isinstance(solver, str) or solver.lower() not in TENSOR_SOLVERS:
         return False
@@ -352,29 +314,20 @@ def uses_tensor_dispatch(solver: Union[str, Callable[..., PipelineMapping]],
 
 
 def _describe_unexpected(exc: BaseException) -> Tuple[str, str]:
-    """``(error, traceback)`` strings for a non-``ReproError`` exception.
-
-    Only strings are recorded so the description survives any process
-    boundary — exception *objects* (which may be unpicklable) never travel.
-    """
+    """``(error, traceback)`` strings for a non-``ReproError`` exception."""
     return (f"{type(exc).__name__}: {exc}", _traceback.format_exc())
 
 
-def _solve_one(payload: Tuple[int, ProblemInstance,
-                              Union[str, Callable[..., PipelineMapping]],
-                              Objective, dict]) -> BatchItemResult:
-    """Solve one instance; module-level so process pools can pickle it.
+def _solve_one(index: int, instance: ProblemInstance,
+               solver: Callable[..., PipelineMapping],
+               solver_kwargs: dict) -> BatchItemResult:
+    """Solve one instance with an already-resolved solver callable.
 
-    ``solver`` may be a registry name (the only form that crosses process
-    boundaries) or an already-resolved callable (in-process batches).
     Failures never propagate: expected :class:`ReproError` outcomes
     (infeasibility, bad specs) record their message, and unexpected
     exceptions record class name + message + traceback — one pathological
-    item must not kill a whole campaign, sequential or pooled.
+    item must not kill a whole campaign.
     """
-    index, instance, solver, objective, solver_kwargs = payload
-    if isinstance(solver, str):
-        solver = get_solver(solver, objective)
     start = time.perf_counter()
     try:
         mapping = solver(instance.pipeline, instance.network, instance.request,
@@ -392,8 +345,7 @@ def _solve_one(payload: Tuple[int, ProblemInstance,
 
 
 def _solve_tensor_groups(instances: List[ProblemInstance], objective: Objective,
-                         solver_kwargs: dict, *,
-                         first_group_id: int = 0) -> List[BatchItemResult]:
+                         solver_kwargs: dict) -> List[BatchItemResult]:
     """Solve a batch through the tensor engine, one call per same-network group.
 
     Instances are grouped by the *identity* of their network object (the
@@ -401,9 +353,8 @@ def _solve_tensor_groups(instances: List[ProblemInstance], objective: Objective,
     their first-seen order and results are re-scattered into input order.  A
     group of one degenerates to a single-instance tensor solve, which is how
     heterogeneous batches fall back to per-solve behaviour.  Each group's
-    items carry the group's id (numbered from ``first_group_id``; the
-    parallel runtime offsets it per chunk to keep ids unique across workers),
-    size and undivided wall time next to the averaged ``runtime_s``.
+    items carry the group's id (numbered from 0 in first-seen order), size
+    and undivided wall time next to the averaged ``runtime_s``.
     """
     from .tensor import elpc_max_frame_rate_many, elpc_min_delay_many
 
@@ -413,7 +364,7 @@ def _solve_tensor_groups(instances: List[ProblemInstance], objective: Objective,
     for index, instance in enumerate(instances):
         groups.setdefault(id(instance.network), []).append(index)
     items: List[Optional[BatchItemResult]] = [None] * len(instances)
-    for group_id, indices in enumerate(groups.values(), start=first_group_id):
+    for group_id, indices in enumerate(groups.values()):
         network = instances[indices[0]].network
         pipelines = [instances[i].pipeline for i in indices]
         requests = [instances[i].request for i in indices]
@@ -519,9 +470,6 @@ def _solve_warm(instances: List[ProblemInstance], objective: Objective,
 def solve_many(instances: Iterable[InstanceLike], *,
                solver: Union[str, Callable[..., PipelineMapping], None] = None,
                objective: Optional[Objective] = None,
-               workers: Optional[int] = None,
-               runner: Optional["ParallelBatchRunner"] = None,
-               chunk_size: Optional[int] = None,
                options: Optional[SolveOptions] = None,
                prior: Optional[BatchRunResult] = None,
                warm_start: bool = False,
@@ -542,27 +490,13 @@ def solve_many(instances: Iterable[InstanceLike], *,
         ``objective=Objective.MIN_DELAY``).
     solver:
         Registry name (``"elpc-tensor"``, ``"elpc"``,
-        ``"greedy"``, ...) or a solver callable.  Multiprocessing requires a
-        registry name.  ``"elpc-tensor"`` batches are grouped by network and
-        each group is solved by one call of the tensor engine (see the module
-        notes) — sequentially and inside every worker chunk alike; every
-        other solver is looped per instance.
+        ``"greedy"``, ...) or a solver callable.  ``"elpc-tensor"`` batches
+        are grouped by network and each group is solved by one call of the
+        tensor engine (see the module notes); every other solver is looped
+        per instance.
     objective:
         Which objective's solver to look up and which value
         :meth:`BatchRunResult.values` reports.
-    workers:
-        ``None``, 0 or 1 solves sequentially in-process; ``N > 1`` fans the
-        batch out over the shared-memory worker runtime of
-        :mod:`repro.core.parallel` (transient pool, torn down after the
-        batch).  Results are bit-identical either way.
-    runner:
-        An open :class:`repro.core.parallel.ParallelBatchRunner` to run the
-        batch on instead of spinning up a transient pool — the persistent
-        form of ``workers=N`` (exported networks and worker processes are
-        reused across calls).  Overrides ``workers``.
-    chunk_size:
-        Instances per worker chunk under parallelism (default: batch size /
-        (2·workers), so every worker gets about two chunks).
     prior:
         A previous warm-started :class:`BatchRunResult` for the *same batch*
         (matched positionally) whose networks have since drifted.  Instances
@@ -574,8 +508,7 @@ def solve_many(instances: Iterable[InstanceLike], *,
     warm_start:
         Capture per-instance warm state (:attr:`BatchRunResult.warm_states`)
         so this result can serve as a later call's ``prior=``.  Warm batches
-        run in-process (``workers``/``runner`` are rejected) and need one of
-        the ELPC engines (:data:`WARM_SOLVERS`).
+        need one of the ELPC engines (:data:`WARM_SOLVERS`).
     solver_kwargs:
         Forwarded to every solve (e.g. ``include_link_delay=False``).
 
@@ -587,75 +520,42 @@ def solve_many(instances: Iterable[InstanceLike], *,
         ``mapping=None`` rather than raised.
     """
     resolved = _resolve_options(options, solver=solver, objective=objective,
-                                workers=workers,
-                                runner=runner, chunk_size=chunk_size,
                                 solver_kwargs=solver_kwargs)
     solver = resolved.solver if resolved.solver is not None else "elpc-tensor"
     objective = (resolved.objective if resolved.objective is not None
                  else Objective.MIN_DELAY)
-    workers, runner = resolved.workers, resolved.runner
-    chunk_size = resolved.chunk_size
     solver_kwargs = dict(resolved.solver_kwargs or {})
 
     normalized = [_coerce_instance(i, item) for i, item in enumerate(instances)]
-    n_workers = int(workers or 1)
-    if n_workers < 0:
-        raise SpecificationError(f"workers must be >= 0, got {workers!r}")
-    if runner is not None:
-        n_workers = runner.workers
-
     if isinstance(solver, str):
-        get_solver(solver, objective)  # fail fast on unknown names
         solver_name = solver
+        solve = get_solver(solver, objective)  # fail fast on unknown names
     else:
-        if n_workers > 1:
-            raise SpecificationError(
-                "multiprocessing batches need the solver by registry name "
-                "(callables cannot be shipped to worker processes)")
         solver_name = getattr(solver, "__name__", str(solver))
+        solve = solver
 
     if warm_start or prior is not None:
-        if runner is not None or n_workers > 1:
-            raise SpecificationError(
-                "warm-started batches run in-process — captured DP state "
-                "cannot cross worker processes; drop workers=/runner=")
         if not (isinstance(solver, str) and solver in WARM_SOLVERS):
             raise SpecificationError(
                 f"warm_start/prior need an ELPC engine "
                 f"({', '.join(sorted(WARM_SOLVERS))}), got {solver_name!r}")
         start = time.perf_counter()
         items, states, reused, resolved = _solve_warm(
-            normalized, objective, dict(solver_kwargs), prior=prior)
+            normalized, objective, solver_kwargs, prior=prior)
         return BatchRunResult(solver=solver_name, objective=objective,
                               items=items,
                               wall_time_s=time.perf_counter() - start,
-                              workers=1, warm_states=states,
+                              warm_states=states,
                               warm_reused=reused, warm_resolved=resolved)
 
     start = time.perf_counter()
-    if n_workers > 1 and len(normalized) > 1:
-        if runner is not None:
-            items = runner.solve(normalized, solver=solver_name,
-                                 objective=objective, chunk_size=chunk_size,
-                                 **solver_kwargs)
-        else:
-            from .parallel import ParallelBatchRunner
-
-            with ParallelBatchRunner(workers=n_workers) as transient:
-                items = transient.solve(normalized, solver=solver_name,
-                                        objective=objective,
-                                        chunk_size=chunk_size, **solver_kwargs)
-    elif uses_tensor_dispatch(solver, objective) and normalized:
-        n_workers = 1
-        items = _solve_tensor_groups(normalized, objective, dict(solver_kwargs))
+    if uses_tensor_dispatch(solver, objective) and normalized:
+        items = _solve_tensor_groups(normalized, objective, solver_kwargs)
     else:
-        n_workers = 1
-        payloads = [(i, inst, solver, objective, dict(solver_kwargs))
-                    for i, inst in enumerate(normalized)]
-        items = [_solve_one(p) for p in payloads]
+        items = [_solve_one(i, inst, solve, solver_kwargs)
+                 for i, inst in enumerate(normalized)]
     return BatchRunResult(solver=solver_name, objective=objective, items=items,
-                          wall_time_s=time.perf_counter() - start,
-                          workers=n_workers)
+                          wall_time_s=time.perf_counter() - start)
 
 
 def place_many(requests: Iterable, *,
@@ -710,9 +610,7 @@ def place_many(requests: Iterable, *,
         *engine*, ``options.objective`` the objective and
         ``options.solver_kwargs`` extra engine kwargs — merged with the
         legacy keyword arguments under the same conflict-is-an-error rule as
-        :func:`solve_many`.  ``workers`` / ``runner`` / ``chunk_size`` are
-        not applicable to placement and raise :class:`SpecificationError`
-        when set.
+        :func:`solve_many`.
     prior:
         A previous :class:`repro.placement.PlacementResult` for the *same
         batch on the same cluster*, used to re-plan after the shared network
@@ -738,13 +636,7 @@ def place_many(requests: Iterable, *,
     from ..placement.registry import get_placer
 
     resolved = _resolve_options(options, solver=engine, objective=objective,
-                                workers=None, runner=None,
-                                chunk_size=None, solver_kwargs=placer_kwargs)
-    for name in ("workers", "runner", "chunk_size"):
-        if getattr(resolved, name) is not None:
-            raise SpecificationError(
-                f"SolveOptions.{name} is not applicable to place_many "
-                "(placement runs in-process on one ledger)")
+                                solver_kwargs=placer_kwargs)
     engine_name = resolved.solver if resolved.solver is not None else "elpc-tensor"
     if not isinstance(engine_name, str):
         raise SpecificationError(

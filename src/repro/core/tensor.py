@@ -641,15 +641,10 @@ def elpc_min_delay_many(pipelines: Sequence[Pipeline],
         ``mapping.extras["dp_table"]``.
     view:
         Optional dense view to advance the DP over in place of
-        ``network.dense_view()`` — the solve-from-attached-view entry point
-        for callers holding a view re-wrapped from a shared-memory block
-        (:func:`repro.model.network.attach_shared_view`): the solve is
-        zero-copy, and since the arrays are byte-identical to the exporting
-        process's view, so are the results.  (The parallel runtime itself
-        reaches the same effect by installing the attached view on a rebuilt
-        network via :meth:`TransportNetwork.from_dense_view`, so plain
-        ``solve_many`` batches need no extra argument.)  ``view`` must
-        describe ``network``'s topology.
+        ``network.dense_view()``, for a caller that already holds the view
+        it wants solved; the warm engine (:mod:`repro.core.warm`) threads
+        its view through the same internal passes.  ``view`` must describe
+        ``network``'s topology.
 
     Returns
     -------

@@ -55,24 +55,6 @@ class CapacityError(ReproError):
     """
 
 
-class UnsupportedStartMethodError(ReproError, RuntimeError):
-    """The multiprocessing start method is unsupported by the parallel runtime.
-
-    The shared-memory batch runtime (:mod:`repro.core.parallel`) is built on
-    the ``fork`` start method: workers inherit the parent's solver registry
-    and share one shared-memory resource tracker.  Under ``spawn`` or
-    ``forkserver`` neither holds — workers re-import the package, parent
-    registrations are invisible, and shared-memory lifetime rules differ —
-    so instead of silently running that untested path the runtime fails fast
-    with this error (see ``docs/ARCHITECTURE.md``, "Parallel runtime").
-    Sequential solves (``workers=1``) work on every platform.
-    """
-
-    def __init__(self, message: str, *, start_method: str | None = None):
-        super().__init__(message)
-        self.start_method = start_method
-
-
 class AlgorithmError(ReproError, RuntimeError):
     """An internal invariant of a mapping algorithm was violated.
 

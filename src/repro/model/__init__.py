@@ -27,16 +27,12 @@ from .module import ComputingModule, sink_module, source_module
 from .network import (
     DenseNetworkView,
     EndToEndRequest,
-    SharedViewSpec,
     TransportNetwork,
     ViewDelta,
-    attach_shared_view,
-    export_shared_view,
 )
 from .node import ComputingNode, synthetic_ip
 from .pipeline import Pipeline
 from .serialization import (
-    InstanceSpec,
     ProblemInstance,
     instance_from_json,
     instance_from_table_text,
@@ -60,7 +56,6 @@ __all__ = [
     "ComputingNode", "CommunicationLink", "TransportNetwork", "EndToEndRequest",
     "DenseNetworkView", "ViewDelta", "synthetic_ip", "transfer_time_ms",
     "BITS_PER_BYTE",
-    "SharedViewSpec", "export_shared_view", "attach_shared_view",
     # cost model
     "computing_time_ms", "transport_time_ms", "group_computing_time_ms",
     "end_to_end_delay_ms", "bottleneck_time_ms", "frame_rate_fps",
@@ -69,7 +64,7 @@ __all__ = [
     "FeasibilityReport", "check_delay_instance", "check_framerate_instance",
     "validate_mapping_structure", "assert_no_reuse",
     # serialization
-    "ProblemInstance", "InstanceSpec", "instance_to_json", "instance_from_json",
+    "ProblemInstance", "instance_to_json", "instance_from_json",
     "save_instance", "load_instance", "instance_to_table_text",
     "instance_from_table_text",
 ]

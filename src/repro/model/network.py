@@ -29,15 +29,6 @@ from ..types import NodeId, NodePath
 from .link import BITS_PER_BYTE, MEGABIT, CommunicationLink, transfer_time_ms
 from .node import ComputingNode
 
-#: Array attributes of :class:`DenseNetworkView` packed into one shared-memory
-#: block by :func:`export_shared_view`, in block order.  ``index_of`` and
-#: ``neighbor_lists`` are derived cheaply on attach instead of being shipped.
-_SHARED_VIEW_FIELDS: Tuple[str, ...] = (
-    "power", "adjacency", "bandwidth", "link_delay", "bandwidth_bits_per_s",
-    "edge_u", "edge_v", "edge_indptr", "edge_bandwidth_bits_per_s",
-    "edge_link_delay",
-)
-
 #: Scalar-edit journal entries retained per network.  Consumers further than
 #: this many epochs behind get ``delta_since() -> None`` (cold rebuild), the
 #: same behaviour as a structural edit.
@@ -79,97 +70,6 @@ class ViewDelta:
             node_rows=tuple(sorted(set(self.node_rows) | set(other.node_rows))),
             link_cells=tuple(sorted(set(self.link_cells)
                                     | set(other.link_cells))))
-
-
-@dataclass(frozen=True)
-class SharedViewSpec:
-    """Picklable recipe for re-wrapping a :class:`DenseNetworkView` from shared memory.
-
-    Produced by :func:`export_shared_view` in the parent process; shipped to
-    worker processes (a few hundred bytes) in place of the network itself.
-    ``fields`` maps each array attribute of the view to its ``(shape, dtype
-    string, byte offset)`` inside the shared-memory block named ``shm_name``,
-    so :func:`attach_shared_view` can rebuild every array as a zero-copy
-    ``np.ndarray`` over the block's buffer.
-    """
-
-    shm_name: str
-    fields: Tuple[Tuple[str, Tuple[int, ...], str, int], ...]
-    node_ids: Tuple[NodeId, ...]
-    network_name: Optional[str] = None
-
-
-def export_shared_view(view: "DenseNetworkView", network_name: Optional[str] = None):
-    """Copy a dense view's arrays into one shared-memory block.
-
-    Returns ``(shm, spec)``: the owning
-    :class:`multiprocessing.shared_memory.SharedMemory` block (the caller is
-    responsible for ``close()``/``unlink()`` when the last consumer is done)
-    and the :class:`SharedViewSpec` that workers feed to
-    :func:`attach_shared_view`.  One export serves every worker and every
-    batch over this network — instances then cross the process boundary as
-    lightweight specs instead of re-pickling the topology per solve.
-    """
-    from multiprocessing import shared_memory
-
-    arrays = [np.ascontiguousarray(getattr(view, name))
-              for name in _SHARED_VIEW_FIELDS]
-    offsets: List[int] = []
-    total = 0
-    for arr in arrays:
-        total = -(-total // 64) * 64          # 64-byte align each array
-        offsets.append(total)
-        total += arr.nbytes
-    shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-    fields: List[Tuple[str, Tuple[int, ...], str, int]] = []
-    for name, arr, offset in zip(_SHARED_VIEW_FIELDS, arrays, offsets):
-        dest = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf,
-                          offset=offset)
-        dest[...] = arr
-        del dest                              # release the buffer reference
-        fields.append((name, tuple(arr.shape), arr.dtype.str, offset))
-    spec = SharedViewSpec(shm_name=shm.name, fields=tuple(fields),
-                          node_ids=tuple(view.node_ids),
-                          network_name=network_name)
-    return shm, spec
-
-
-def attach_shared_view(spec: SharedViewSpec):
-    """Re-wrap a :class:`DenseNetworkView` over an exported shared-memory block.
-
-    Returns ``(view, shm)``.  Every array of the view is a zero-copy read-only
-    ``np.ndarray`` over the block's buffer, so the caller must keep ``shm``
-    alive (and ``close()`` it, without ``unlink()``, when the view is no
-    longer needed — the exporting process owns the unlink).  ``index_of`` and
-    ``neighbor_lists`` are rebuilt from ``node_ids`` and the adjacency matrix;
-    everything else is bit-identical to the exported view by construction.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        # track=False (Python >= 3.13): the exporting process owns cleanup.
-        shm = shared_memory.SharedMemory(name=spec.shm_name, track=False)
-    except TypeError:
-        # Python < 3.13 always tracks.  Under the fork start method (what the
-        # parallel runtime uses) parent and workers share one resource
-        # tracker and registration is idempotent, so attaching here neither
-        # double-unlinks nor leaks.
-        shm = shared_memory.SharedMemory(name=spec.shm_name)
-    arrays: Dict[str, np.ndarray] = {}
-    for name, shape, dtype_str, offset in spec.fields:
-        arr = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf,
-                         offset=offset)
-        arr.setflags(write=False)
-        arrays[name] = arr
-    ids = tuple(spec.node_ids)
-    index = {nid: i for i, nid in enumerate(ids)}
-    adjacency = arrays["adjacency"]
-    neighbor_lists = tuple(
-        tuple(ids[j] for j in np.flatnonzero(adjacency[i]))
-        for i in range(len(ids)))
-    view = DenseNetworkView(node_ids=ids, index_of=index,
-                            neighbor_lists=neighbor_lists, **arrays)
-    return view, shm
 
 
 @dataclass(frozen=True)
@@ -299,7 +199,7 @@ class DenseNetworkView:
         **new object** that shares every unchanged array with this one and
         carries fresh frozen copies only of the arrays a patch touches — so
         every consumer cache keyed by view identity (the tensor engine's
-        staging cache, the shared-memory export table, the scaled-view cache)
+        staging cache, the scaled-view cache)
         correctly misses, while the untouched topology arrays stay zero-copy.
 
         Patched entries apply the exact element-wise operations
@@ -1005,46 +905,6 @@ class TransportNetwork:
                 if bw[i, j] > 0:
                     net.connect(i, j, bandwidth_mbps=float(bw[i, j]),
                                 min_delay_ms=float(dl[i, j]))
-        return net
-
-    @classmethod
-    def from_dense_view(cls, view: DenseNetworkView,
-                        *, name: Optional[str] = None) -> "TransportNetwork":
-        """Rebuild a network around an existing :class:`DenseNetworkView`.
-
-        The inverse of :meth:`dense_view` up to presentation metadata: node
-        and link objects are reconstructed from the view's arrays (node ids,
-        powers, bandwidth/delay matrices — ``ip_address``, link ids and
-        free-form metadata are not part of the view and come back as
-        defaults), and ``view`` itself is installed as the network's cached
-        dense view, so the arrays are **shared, not copied**.  This is how the
-        parallel batch runtime (:mod:`repro.core.parallel`) materialises a
-        solvable network in a worker process on top of a shared-memory view:
-        all heavy arrays stay zero-copy while scalar solvers, feasibility
-        checks and the cost model see a regular :class:`TransportNetwork`
-        whose link attributes round-trip the exported floats exactly, keeping
-        every solver bit-identical to an in-process solve.
-
-        Sharing the view object is safe because scalar edits are
-        copy-on-write: mutating the reconstructed network swaps in a *new*
-        patched view (or drops the reference entirely for structural edits)
-        and never writes through the shared arrays, so the caller's cached
-        view cannot be corrupted from the copy.
-        """
-        net = cls(name=name)
-        for i, nid in enumerate(view.node_ids):
-            net.add_node(ComputingNode(node_id=nid,
-                                       processing_power=float(view.power[i])))
-        iu, iv = np.nonzero(np.triu(view.adjacency, k=1))
-        for i, j in zip(iu.tolist(), iv.tolist()):
-            net.connect(view.node_ids[i], view.node_ids[j],
-                        bandwidth_mbps=float(view.bandwidth[i, j]),
-                        min_delay_ms=float(view.link_delay[i, j]))
-        # Adopt the view's epoch (construction bumped the counter once per
-        # add); the journal restarts empty at the adopted epoch.
-        net._view_epoch = view.epoch
-        net._view_deltas.clear()
-        net._dense_view = view
         return net
 
     # ------------------------------------------------------------------ #

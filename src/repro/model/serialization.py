@@ -29,7 +29,6 @@ from .pipeline import Pipeline
 
 __all__ = [
     "ProblemInstance",
-    "InstanceSpec",
     "instance_to_json",
     "instance_from_json",
     "save_instance",
@@ -86,47 +85,6 @@ class ProblemInstance:
                                     destination=int(data["request"]["destination"])),
             name=data.get("name"),
         )
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """A :class:`ProblemInstance` minus its network, for cheap process shipping.
-
-    The parallel batch runtime (:mod:`repro.core.parallel`) exports each
-    distinct :class:`TransportNetwork` once via shared memory and then ships
-    every instance as one of these: the pipeline (a small frozen dataclass),
-    the request endpoints and a ``network_key`` naming the exported network.
-    Workers resolve the key against their attached-network cache and
-    :meth:`resolve` reassembles a full instance, so chunked batches cost one
-    pipeline pickle per instance instead of one network pickle per instance.
-
-    ``index`` is the instance's position in the originating batch; results
-    are re-scattered into input order by it.
-    """
-
-    index: int
-    pipeline: Pipeline
-    source: int
-    destination: int
-    network_key: str
-    name: Optional[str] = None
-
-    @classmethod
-    def from_instance(cls, index: int, instance: ProblemInstance,
-                      network_key: str) -> "InstanceSpec":
-        """Strip ``instance`` down to its shippable spec."""
-        return cls(index=index, pipeline=instance.pipeline,
-                   source=instance.request.source,
-                   destination=instance.request.destination,
-                   network_key=network_key, name=instance.name)
-
-    def resolve(self, network: TransportNetwork) -> ProblemInstance:
-        """Reassemble the full instance around an attached ``network``."""
-        return ProblemInstance(
-            pipeline=self.pipeline, network=network,
-            request=EndToEndRequest(source=self.source,
-                                    destination=self.destination),
-            name=self.name)
 
 
 def mapping_to_dict(mapping: Any) -> Dict[str, Any]:

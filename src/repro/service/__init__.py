@@ -9,8 +9,7 @@ requests accumulate and are dispatched the moment the executor frees
 (capped at ``max_batch``); ``max_wait_ms`` only bounds the idle-engine
 case.  Every flush goes through :func:`repro.core.batch.solve_many` — so
 same-network requests ride the tensor engine's group path, and
-``--workers N`` backs the dispatcher with a persistent shared-memory
-:class:`~repro.core.parallel.ParallelBatchRunner`.  ``repro loadtest``
+``--replicas N`` runs N such services side by side.  ``repro loadtest``
 measures the whole stack under sustained concurrent load.
 
 Layers (see ``docs/ARCHITECTURE.md``, "Service layer"):

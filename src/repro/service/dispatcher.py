@@ -18,14 +18,11 @@ objective × solver kwargs) and every partition goes through one
 :func:`repro.core.batch.solve_many` call, so coalesced same-network requests
 ride the tensor engine's group path exactly like an offline batch — the
 ``group_id``/``group_size`` fields in the responses make the coalescing
-observable.  With ``workers > 1`` a persistent
-:class:`~repro.core.parallel.ParallelBatchRunner` backs every flush (pool and
-shared-memory network exports live for the service lifetime, see
-``core/parallel.py``).
+observable.  Multi-core serving runs whole services side by side
+(``repro serve --replicas N``, :mod:`repro.service.replicas`).
 
 The event loop never blocks on solving: flushes run on a single-thread
-executor (one flush at a time, which also serialises access to the runner),
-and per-request failures follow the batch API's recorded-error policy —
+executor (one flush at a time), and per-request failures follow the batch API's recorded-error policy —
 a client always receives a response, never a dropped connection.
 """
 
@@ -63,10 +60,6 @@ class ServiceConfig:
         pending request arrived; ``0`` disables coalescing (every request
         flushes immediately).  A busy executor replaces the window —
         requests arriving mid-flush dispatch the moment the executor frees.
-    workers:
-        ``None``/0/1 solves flushes in-process; ``N > 1`` keeps one
-        persistent shared-memory :class:`ParallelBatchRunner` under every
-        flush.
     default_solver:
         Solver used by requests that do not name one.
     intern_networks:
@@ -78,13 +71,12 @@ class ServiceConfig:
         payload.
     options:
         A :class:`repro.SolveOptions` bundle as an alternative spelling of
-        the dispatch knobs this config shares with the batch API:
-        ``options.solver`` ↔ ``default_solver``, ``options.workers`` ↔
-        ``workers``.  A knob set in both places must agree
-        (:class:`SpecificationError` otherwise, matching
-        :func:`repro.solve_many`); ``objective`` / ``runner`` /
-        ``chunk_size`` / ``solver_kwargs`` have no service-config equivalent
-        (they are per-request or service-owned) and are rejected when set.
+        the dispatch knob this config shares with the batch API:
+        ``options.solver`` ↔ ``default_solver``.  A solver set in both
+        places must agree (:class:`SpecificationError` otherwise, matching
+        :func:`repro.solve_many`); ``objective`` / ``solver_kwargs`` travel
+        per request, have no service-config equivalent and are rejected
+        when set.
     admission_control:
         ``True`` runs every *successful* solve through a per-network
         admission ledger (:class:`repro.placement.ClusterState`) before
@@ -106,7 +98,6 @@ class ServiceConfig:
 
     max_batch: int = 32
     max_wait_ms: float = 2.0
-    workers: Optional[int] = None
     default_solver: str = "elpc-tensor"
     intern_networks: int = 256
     max_body_bytes: int = 8 * 1024 * 1024
@@ -124,9 +115,6 @@ class ServiceConfig:
         if self.max_wait_ms < 0:
             raise SpecificationError(
                 f"max_wait_ms must be >= 0, got {self.max_wait_ms!r}")
-        if self.workers is not None and int(self.workers) < 0:
-            raise SpecificationError(
-                f"workers must be >= 0, got {self.workers!r}")
         if self.max_body_bytes < 1024:
             raise SpecificationError(
                 f"max_body_bytes must be >= 1024, got {self.max_body_bytes!r}")
@@ -144,28 +132,23 @@ class ServiceConfig:
         if not isinstance(options, SolveOptions):
             raise SpecificationError(
                 f"options must be a SolveOptions, got {type(options).__name__}")
-        for name in ("objective", "runner", "chunk_size", "solver_kwargs"):
+        for name in ("objective", "solver_kwargs"):
             if getattr(options, name) is not None:
                 raise SpecificationError(
                     f"SolveOptions.{name} has no ServiceConfig equivalent "
-                    "(objective travels per request; the runner and chunking "
-                    "are service-owned)")
-        pairs = [("solver", "default_solver", "elpc-tensor"),
-                 ("workers", "workers", None)]
-        for opt_name, cfg_name, default in pairs:
-            opt_value = getattr(options, opt_name)
-            if opt_value is None:
-                continue
-            cfg_value = getattr(self, cfg_name)
-            if cfg_value != default and cfg_value != opt_value:
-                raise SpecificationError(
-                    f"conflicting {cfg_name!r}: ServiceConfig says "
-                    f"{cfg_value!r} but options.{opt_name} says "
-                    f"{opt_value!r} — specify it in one place")
-            if opt_name == "solver" and not isinstance(opt_value, str):
-                raise SpecificationError(
-                    "ServiceConfig needs the default solver by registry name")
-            object.__setattr__(self, cfg_name, opt_value)
+                    "(it travels per request)")
+        solver = options.solver
+        if solver is None:
+            return
+        if self.default_solver != "elpc-tensor" and self.default_solver != solver:
+            raise SpecificationError(
+                f"conflicting 'default_solver': ServiceConfig says "
+                f"{self.default_solver!r} but options.solver says "
+                f"{solver!r} — specify it in one place")
+        if not isinstance(solver, str):
+            raise SpecificationError(
+                "ServiceConfig needs the default solver by registry name")
+        object.__setattr__(self, "default_solver", solver)
 
 
 #: One queued request: the parsed request, the future its response resolves,
@@ -220,7 +203,6 @@ class SolveService:
         self._wake: Optional[asyncio.Event] = None
         self._flusher: Optional["asyncio.Task"] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._runner = None
         self._running = False
         self._inflight = 0
         self.requests_total = 0
@@ -259,11 +241,6 @@ class SolveService:
         """Start the flusher task (requires a running event loop)."""
         if self._running:
             return
-        workers = int(self.config.workers or 1)
-        if workers > 1:
-            from ..core.parallel import ParallelBatchRunner
-
-            self._runner = ParallelBatchRunner(workers=workers)
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-flush")
         self._wake = asyncio.Event()
@@ -295,9 +272,6 @@ class SolveService:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._runner is not None:
-            self._runner.close()
-            self._runner = None
 
     # ------------------------------------------------------------------ #
     # Request entry point
@@ -417,7 +391,6 @@ class SolveService:
             "max_batch": self.config.max_batch,
             "max_wait_ms": self.config.max_wait_ms,
             "default_solver": self.config.default_solver,
-            "workers": int(self.config.workers or 1),
             "interned_networks": len(self.interner),
             "admission_control": self.config.admission_control,
             "admitted_total": self.admitted_total,
@@ -443,8 +416,6 @@ class SolveService:
             payload["admission_ledgers"] = int(occupancy["networks"])
             payload["admission_store"] = self.admission.kind
             payload["admission_occupancy"] = occupancy_to_wire(occupancy)
-        if self._runner is not None:
-            payload["runner"] = self._runner.stats()
         return payload
 
     # ------------------------------------------------------------------ #
@@ -533,7 +504,6 @@ class SolveService:
         instances = [request.instance for request, _future, _arrived in entries]
         call = partial(solve_many, instances,
                        solver=head.solver, objective=head.objective,
-                       runner=self._runner,
                        **head.solver_kwargs)
         loop = asyncio.get_running_loop()
         try:

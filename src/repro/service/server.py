@@ -94,9 +94,10 @@ class SolveServer:
         #: re-posting the same reference-style instances — skips JSON decode
         #: and instance reconstruction entirely.  Only successful parses are
         #: cached (a failed one may succeed later, e.g. once its network ref
-        #: is posted); a cached request pins its interned network, so a hit
-        #: stays valid even after interner eviction.  Touched only from the
-        #: event-loop thread.
+        #: is posted).  A hit whose network is no longer the one interned
+        #: under its ref (evicted, maybe re-interned and patched since) is
+        #: parsed again, so it never solves on a stale network.  Touched
+        #: only from the event-loop thread.
         self._parsed_requests: "OrderedDict[bytes, SolveRequest]" = OrderedDict()
         self._parsed_requests_max = 512
         self.request_cache_hits = 0
@@ -242,6 +243,10 @@ class SolveServer:
             return 405, error_response("use POST for /solve")
         digest = hashlib.blake2b(body, digest_size=16).digest()
         request = self._parsed_requests.get(digest)
+        if request is not None and not self.service.interner.holds(
+                request.network_ref, request.instance.network):
+            del self._parsed_requests[digest]
+            request = None
         if request is not None:
             self.request_cache_hits += 1
             self._parsed_requests.move_to_end(digest)

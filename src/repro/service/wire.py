@@ -82,13 +82,13 @@ WIRE_SCHEMA_V1 = "repro-serve/1"
 #: Request schemas the server parses.
 SUPPORTED_SCHEMAS = frozenset({WIRE_SCHEMA, WIRE_SCHEMA_V1})
 
-#: ``solver_kwargs`` keys that are dispatch controls of :func:`solve_many`
-#: itself, not solver options.  Letting them through would either collide
-#: with the kwargs the dispatcher pins (``TypeError`` before any solve) or
-#: let a client override server policy (e.g. fork a worker pool per flush
-#: via ``workers=``), so they are rejected at parse time.  ``backend`` is
-#: reserved too: the wire accepts it only as the top-level field that
-#: :meth:`SolveRequest.from_wire` checks.
+#: ``solver_kwargs`` keys that name dispatch controls, not solver options.
+#: ``solver`` and ``objective`` would collide with the kwargs the dispatcher
+#: pins (``TypeError`` before any solve).  ``runner``, ``workers`` and
+#: ``chunk_size`` were batch-pool controls; no solver takes them, so a client
+#: still sending them gets a 400 at parse time rather than a per-item solver
+#: error.  ``backend`` is reserved too: the wire accepts it only as the
+#: top-level field that :meth:`SolveRequest.from_wire` checks.
 _RESERVED_SOLVER_KWARGS = frozenset(
     {"solver", "objective", "backend", "runner", "workers", "chunk_size"})
 
@@ -181,6 +181,16 @@ class NetworkInterner:
                 self.hits += 1
                 self._cache.move_to_end(base)
             return network
+
+    def holds(self, ref: str, network: TransportNetwork) -> bool:
+        """``True`` while ``network`` is the object interned under ``ref``.
+
+        A pure identity check: unlike :meth:`by_ref` it counts no hit and
+        leaves the LRU order alone.
+        """
+        base = ref.split("@", 1)[0]
+        with self._lock:
+            return self._cache.get(base) is network
 
     def networks(self) -> Tuple[TransportNetwork, ...]:
         """Snapshot of every currently interned network (stats/healthz)."""
@@ -410,8 +420,7 @@ class SolveRequest:
             raise SpecificationError(
                 f"solver_kwargs may not override dispatch controls "
                 f"{sorted(reserved)}; use the top-level request fields "
-                "(solver/objective) or the server configuration "
-                "(--workers)")
+                "(solver/objective)")
         priority = payload.get("priority", 0.0)
         if not isinstance(priority, (int, float)) or isinstance(priority, bool):
             raise SpecificationError(

@@ -134,7 +134,7 @@ class TestReplicateCase:
 
     def test_replicates_batch_through_solve_many(self, monkeypatch):
         """The inner loop rides solve_many (one batch per algorithm), so
-        replication sweeps inherit tensor grouping and workers=."""
+        replication sweeps inherit tensor grouping."""
         import repro.analysis.statistics as stats_mod
 
         seen = []
@@ -149,13 +149,6 @@ class TestReplicateCase:
                                 algorithms=("elpc", "greedy"))
         assert seen == [(3, "elpc"), (3, "greedy")]
         assert result.n_replicates == 3
-
-    def test_workers_match_sequential(self):
-        sequential = replicate_case(PAPER_CASE_SPECS[1], n_replicates=3,
-                                    algorithms=("elpc", "greedy"))
-        parallel = replicate_case(PAPER_CASE_SPECS[1], n_replicates=3,
-                                  algorithms=("elpc", "greedy"), workers=2)
-        assert parallel.values == sequential.values
 
 
 class TestSummarizeImprovements:

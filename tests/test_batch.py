@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import Objective, elpc_min_delay, solve_many
+from repro.core import Objective, elpc_min_delay, register_solver, solve_many
+from repro.core.registry import _REGISTRY
 from repro.exceptions import SpecificationError
 from repro.generators import random_network, random_pipeline, random_request
 from repro.model import EndToEndRequest, ProblemInstance
@@ -17,6 +18,27 @@ def _suite(count: int, *, n_modules: int = 5, nodes: int = 9, links: int = 18):
             network=network,
             request=random_request(network, seed=seed, min_hop_distance=1),
             name=f"batch-{seed}"))
+    return instances
+
+
+def _mixed_suite(count=24, *, n_networks=3, nodes=10, links=20, seed0=0):
+    """Mixed-network batch with feasible and (frame-rate-)infeasible items.
+
+    Every third item gets an 11-module pipeline, which cannot map without
+    node reuse onto a 10-node network — infeasible for the frame-rate
+    objective, still feasible for min-delay.
+    """
+    networks = [random_network(nodes, links, seed=seed0 + s)
+                for s in range(n_networks)]
+    instances = []
+    for i in range(count):
+        network = networks[i % n_networks]
+        n_modules = 11 if i % 3 == 2 else 5
+        instances.append(ProblemInstance(
+            pipeline=random_pipeline(n_modules, seed=seed0 + i),
+            network=network,
+            request=random_request(network, seed=seed0 + i, min_hop_distance=1),
+            name=f"mixed-{i}"))
     return instances
 
 
@@ -113,47 +135,128 @@ class TestSequentialBatches:
         assert len(result) == 0 and result.n_solved == 0
 
 
-class TestParallelBatches:
-    def test_workers_produce_identical_values(self):
-        instances = _suite(6)
-        sequential = solve_many(instances, solver="elpc",
-                                objective=Objective.MIN_DELAY)
-        parallel = solve_many(instances, solver="elpc",
-                              objective=Objective.MIN_DELAY, workers=2)
-        assert parallel.workers == 2
-        for a, b in zip(sequential.values(), parallel.values()):
-            assert b == pytest.approx(a)
-
-    def test_single_item_batch_stays_in_process(self):
-        result = solve_many(_suite(1), solver="elpc",
-                            objective=Objective.MIN_DELAY, workers=4)
-        assert result.workers == 1  # no pool spun up for one instance
-        assert result.n_solved == 1
-
-    def test_callable_solver_rejected_under_multiprocessing(self):
-        with pytest.raises(SpecificationError):
-            solve_many(_suite(3), solver=elpc_min_delay,
-                       objective=Objective.MIN_DELAY, workers=2)
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(SpecificationError):
-            solve_many(_suite(2), solver="elpc",
-                       objective=Objective.MIN_DELAY, workers=-1)
+class TestPerGroupWallTimes:
+    def test_tensor_groups_expose_wall_time(self):
+        instances = _mixed_suite(18, n_networks=3)
+        run = solve_many(instances, solver="elpc-tensor",
+                         objective=Objective.MIN_DELAY)
+        groups = run.group_times()
+        assert len(groups) == 3  # one per distinct network
+        assert sum(size for size, _wall in groups.values()) == len(instances)
+        for item in run:
+            assert item.group_wall_s is not None and item.group_wall_s >= 0.0
+            size, wall = groups[item.group_id]
+            assert item.group_size == size
+            assert item.runtime_s == pytest.approx(wall / size)
 
 
-class TestRunComparisonThroughBatches:
-    def test_workers_match_sequential_comparison(self):
-        from repro.analysis import run_comparison
-        instances = _suite(4)
-        seq = run_comparison(instances, Objective.MIN_DELAY, ["elpc", "greedy"])
-        par = run_comparison(instances, Objective.MIN_DELAY, ["elpc", "greedy"],
-                             workers=2)
-        for algo in ("elpc", "greedy"):
-            seq_series = seq.series(algo)
-            par_series = par.series(algo)
-            assert len(seq_series) == len(par_series) == 4
-            for a, b in zip(seq_series, par_series):
-                if a is None:
-                    assert b is None
+class TestTensorDispatchOverrides:
+    def test_override_of_tensor_name_disables_group_dispatch(self):
+        """Registry overrides always win: overriding "elpc-tensor" must route
+        batches through the override, not the builtin group engine."""
+        from repro.core import get_solver
+
+        calls = []
+        original = get_solver("elpc-tensor", Objective.MIN_DELAY)
+
+        def my_tensor(pipeline, network, request, **kwargs):
+            calls.append(pipeline.n_modules)
+            return original(pipeline, network, request, **kwargs)
+
+        register_solver("elpc-tensor", Objective.MIN_DELAY, my_tensor,
+                        overwrite=True)
+        try:
+            instances = _mixed_suite(6, n_networks=1, seed0=50)
+            run = solve_many(instances, solver="elpc-tensor",
+                             objective=Objective.MIN_DELAY)
+            assert len(calls) == len(instances)  # override called per item
+            assert all(item.group_id is None for item in run)
+            reference_values = run.values()
+        finally:
+            register_solver("elpc-tensor", Objective.MIN_DELAY, original,
+                            overwrite=True)
+        # With the builtin restored, group dispatch engages again and the
+        # values agree (the override wrapped the builtin).
+        grouped = solve_many(instances, solver="elpc-tensor",
+                             objective=Objective.MIN_DELAY)
+        assert all(item.group_id is not None for item in grouped)
+        assert grouped.values() == reference_values
+
+
+def _exploding_solver(pipeline, network, request, **kwargs):
+    if pipeline.n_modules % 2 == 0:
+        raise RuntimeError("boom from a registered solver")
+    return elpc_min_delay(pipeline, network, request, **kwargs)
+
+
+class TestErrorPolicy:
+    """Unexpected exceptions are recorded per item, never raised or fatal."""
+
+    @pytest.fixture()
+    def exploding(self):
+        register_solver("exploding", Objective.MIN_DELAY, _exploding_solver,
+                        overwrite=True)
+        yield "exploding"
+        _REGISTRY.pop(("exploding", Objective.MIN_DELAY), None)
+
+    def test_sequential_records_unexpected_exception(self, exploding):
+        network = random_network(10, 20, seed=1)
+        instances = [ProblemInstance(
+            pipeline=random_pipeline(4 if i % 2 == 0 else 5, seed=i),
+            network=network,
+            request=random_request(network, seed=i, min_hop_distance=1),
+            name=f"err-{i}") for i in range(8)]
+        run = solve_many(instances, solver=exploding,
+                         objective=Objective.MIN_DELAY)
+        assert run.n_solved == 4 and run.n_failed == 4
+        for item in run:
+            if item.ok:
+                assert item.error is None and item.traceback is None
+            else:
+                assert item.error == ("RuntimeError: boom from a registered "
+                                      "solver")
+                assert "Traceback" in item.traceback
+
+    def test_tensor_group_failure_recorded_per_item(self):
+        # A malformed network (a non-numeric power smuggled past validation)
+        # makes the tensor engine's dense-view build raise a plain
+        # ValueError; the poisoned group must be recorded item by item while
+        # the healthy group still solves.
+        instances = _mixed_suite(8, n_networks=2, seed0=40)
+        poisoned = instances[0].network  # items 0, 2, 4, 6
+        object.__setattr__(poisoned.node(poisoned.node_ids()[0]),
+                           "processing_power", "not-a-power")
+        run = solve_many(instances, solver="elpc-tensor",
+                         objective=Objective.MIN_DELAY)
+        for i, item in enumerate(run):
+            if i % 2 == 0:
+                assert not item.ok
+                assert "ValueError" in item.error
+                assert item.traceback and "Traceback" in item.traceback
+            else:
+                assert item.ok
+
+
+class TestTensorViewArgument:
+    def test_explicit_view_matches_default_path(self):
+        """``*_many(view=network.dense_view())`` reproduces the default
+        solve bit for bit, infeasible items included."""
+        from repro.core.tensor import (
+            elpc_max_frame_rate_many,
+            elpc_min_delay_many,
+        )
+
+        instances = _mixed_suite(6, n_networks=1, seed0=30)
+        network = instances[0].network
+        pipelines = [inst.pipeline for inst in instances]
+        requests = [inst.request for inst in instances]
+        for many in (elpc_min_delay_many, elpc_max_frame_rate_many):
+            plain = many(pipelines, network, requests)
+            via_view = many(pipelines, network, requests,
+                            view=network.dense_view())
+            for a, b in zip(plain, via_view):
+                if isinstance(a, Exception):
+                    assert type(a) is type(b) and str(a) == str(b)
                 else:
-                    assert b == pytest.approx(a)
+                    assert a.path == b.path
+                    assert a.objective_value == b.objective_value

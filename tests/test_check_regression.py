@@ -159,18 +159,6 @@ class TestCheckedInBaselineCoverage:
         assert baseline["schema"] == check_regression.SCHEMA
         metrics = set(baseline["metrics"])
         for prefix in ("benchmarks/test_bench_vectorized_speedup.py",
-                       "benchmarks/test_bench_tensor_batch.py",
-                       "benchmarks/test_bench_parallel_batch.py"):
+                       "benchmarks/test_bench_tensor_batch.py"):
             assert any(name.startswith(prefix) for name in metrics), (
                 f"no baseline metric recorded for {prefix}")
-
-    def test_baseline_includes_parallel_runtime_metrics(self):
-        baseline_path = _SCRIPT.parent / "bench_baseline.json"
-        metrics = json.loads(baseline_path.read_text(encoding="utf-8"))["metrics"]
-        parallel = ("benchmarks/test_bench_parallel_batch.py::"
-                    "test_parallel_batch_solve")
-        sequential = ("benchmarks/test_bench_parallel_batch.py::"
-                      "test_sequential_reference_baseline")
-        for name in (parallel, sequential):
-            assert name in metrics
-            assert metrics[name]["mean_s"] > 0

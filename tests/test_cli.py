@@ -177,6 +177,13 @@ class TestReproUmbrella:
         assert excinfo.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["serve", "bench"])
+    def test_workers_flag_is_an_argparse_error(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_repro_backend_env_changes_no_output(self, capsys, monkeypatch):
         argv = ["solve", "--solver", "elpc-tensor", "--case", "1"]
         assert main(argv) == 0

@@ -42,8 +42,8 @@ class TestDocsExist:
     def test_architecture_covers_the_promised_sections(self):
         text = (DOCS_DIR / "ARCHITECTURE.md").read_text(encoding="utf-8")
         for phrase in ("Layer map", "solver registry contract",
-                       "shared-memory lifecycle", "Engine selection guide",
-                       "Padded-slot staging", "UnsupportedStartMethodError"):
+                       "Dense view lifecycle", "Engine selection guide",
+                       "Padded-slot staging"):
             assert phrase in text, phrase
 
     def test_benchmarks_doc_covers_schema_and_gate(self):

@@ -353,7 +353,7 @@ class TestErrorIsolation:
 
 class TestHealthz:
     def test_status_payload(self):
-        config = ServiceConfig(max_batch=4, max_wait_ms=7.0, workers=None,
+        config = ServiceConfig(max_batch=4, max_wait_ms=7.0,
                                default_solver="elpc-tensor")
         with BackgroundServer(config) as server:
             status = server.client().healthz()
@@ -362,7 +362,6 @@ class TestHealthz:
         assert status["max_batch"] == 4
         assert status["max_wait_ms"] == 7.0
         assert status["default_solver"] == "elpc-tensor"
-        assert status["workers"] == 1
 
     def test_wait_ready_times_out_against_dead_port(self):
         client = ServiceClient(port=1)  # nothing listens there
@@ -494,25 +493,6 @@ class TestGracefulShutdown:
             server.stop()
         with pytest.raises(ServiceUnavailableError):
             server.client().healthz()
-
-
-class TestServiceWorkers:
-    def test_parallel_runner_backs_flushes(self):
-        """workers=2 keeps one persistent pool under every flush and results
-        stay identical to the in-process service."""
-        instances = _instances(6)
-        direct = solve_many(instances, solver="elpc-tensor")
-        config = ServiceConfig(max_batch=6, max_wait_ms=5000.0, workers=2)
-        with BackgroundServer(config) as server:
-            responses = _post_all(server.client(), instances)
-            status = server.client().healthz()
-        assert all(r["ok"] for r in responses)
-        for item, response in zip(direct.items, responses):
-            assert response["mapping"]["delay_ms"] == item.mapping.delay_ms
-        assert status["workers"] == 2
-        assert status["runner"]["workers"] == 2
-        assert status["runner"]["pool_started"] is True
-        assert status["runner"]["exported_networks"] >= 1
 
 
 class TestServeCli:
@@ -928,3 +908,47 @@ class TestRequestParseCache:
         assert status["request_cache_hits"] == 1
         assert (first["mapping"]["delay_ms"] == second["mapping"]["delay_ms"]
                 == third["mapping"]["delay_ms"])
+
+    def test_replay_after_eviction_reinterning_and_delta_is_not_stale(self):
+        """A cached body whose network was evicted, re-interned as a new
+        object and then patched must solve on the patched network, not on
+        the evicted object the cache still pinned."""
+        from http.client import HTTPConnection
+
+        inst_a, other_a = _instances(2)
+        inst_b = _instances(1, network_seed=9)[0]
+        body_a = json.dumps(SolveRequest(instance=inst_a).to_wire()).encode()
+        network_a = inst_a.network
+
+        def post(conn, body):
+            conn.request("POST", "/solve", body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            return json.loads(response.read().decode())
+
+        with BackgroundServer(ServiceConfig(intern_networks=1)) as server:
+            conn = HTTPConnection(server.host, server.port, timeout=30)
+            try:
+                first = post(conn, body_a)
+                ref_a = first["network_ref"]
+                assert post(conn, json.dumps(SolveRequest(
+                    instance=inst_b).to_wire()).encode())["ok"]  # evicts A
+                assert post(conn, json.dumps(SolveRequest(
+                    instance=other_a).to_wire()).encode())["ok"]  # new A
+                delta = server.client().apply_delta(ref_a, [
+                    {"kind": "power", "node": node, "value": 1e-3}
+                    for node in network_a.node_ids()])
+                assert delta["ok"], delta
+                replay = post(conn, body_a)
+            finally:
+                conn.close()
+
+        patched = network_a.copy()
+        for node in patched.node_ids():
+            patched.set_processing_power(node, 1e-3)
+        expected = solve_many([ProblemInstance(
+            pipeline=inst_a.pipeline, network=patched,
+            request=inst_a.request)]).items[0].mapping.delay_ms
+        assert first["ok"] and replay["ok"]
+        assert replay["mapping"]["delay_ms"] == expected
+        assert replay["mapping"]["delay_ms"] != first["mapping"]["delay_ms"]

@@ -36,13 +36,13 @@ def _instances(count=3, *, seed=3):
 
 class TestMergeSemantics:
     def test_unset_fields_inherit_legacy_kwargs(self):
-        merged = SolveOptions().merged_with(solver="elpc", workers=2)
+        merged = SolveOptions().merged_with(solver="elpc")
         assert merged.solver == "elpc"
-        assert merged.workers == 2
         assert merged.objective is None  # still unspecified
 
     def test_set_fields_survive_unset_kwargs(self):
-        options = SolveOptions(solver="elpc-tensor", chunk_size=8)
+        options = SolveOptions(solver="elpc-tensor",
+                               objective=Objective.MAX_FRAME_RATE)
         merged = options.merged_with()
         assert merged == options
 
@@ -56,8 +56,6 @@ class TestMergeSemantics:
     @pytest.mark.parametrize("field,a,b", [
         ("solver", "elpc-vec", "elpc-tensor"),
         ("objective", Objective.MIN_DELAY, Objective.MAX_FRAME_RATE),
-        ("workers", 2, 4),
-        ("chunk_size", 8, 16),
     ])
     def test_conflicting_duplicates_raise(self, field, a, b):
         options = SolveOptions(**{field: a})
@@ -126,20 +124,10 @@ class TestPlaceManyAcceptance:
             place_many(_instances(1), engine="elpc",
                        options=SolveOptions(solver="elpc-tensor"))
 
-    @pytest.mark.parametrize("options", [
-        SolveOptions(workers=2),
-        SolveOptions(chunk_size=4),
-        SolveOptions(runner=object()),
-    ])
-    def test_batch_dispatch_knobs_rejected(self, options):
-        with pytest.raises(SpecificationError):
-            place_many(_instances(1), options=options)
-
 
 class TestServiceAcceptance:
     def test_options_feed_service_config(self):
-        config = ServiceConfig(options=SolveOptions(solver="elpc",
-                                                    workers=None))
+        config = ServiceConfig(options=SolveOptions(solver="elpc"))
         assert config.default_solver == "elpc"
 
     def test_config_conflict_raises(self):

@@ -408,15 +408,6 @@ class TestSolveManyTensorDispatch:
             assert (b.mapping.extras["dp_value_ms"]
                     <= a.mapping.extras["dp_value_ms"] + 1e-9)
 
-    def test_workers_fall_back_to_per_item_solves(self):
-        instances = _shared_network_suite(6)
-        sequential = solve_many(instances, solver="elpc-tensor",
-                                objective=Objective.MIN_DELAY)
-        parallel = solve_many(instances, solver="elpc-tensor",
-                              objective=Objective.MIN_DELAY, workers=2)
-        assert parallel.workers == 2
-        assert sequential.values() == parallel.values()
-
 
 # --------------------------------------------------------------------------- #
 # Batch API edge cases of the *_many functions themselves
