@@ -78,7 +78,7 @@ def _batched_feasibility(pipelines: Sequence[Pipeline],
                          requests: Sequence[EndToEndRequest],
                          results: List[Optional[BatchEntry]],
                          *, framerate: bool,
-                         view: Optional[DenseNetworkView] = None) -> List[int]:
+                         view: DenseNetworkView) -> List[int]:
     """Run the per-instance feasibility checks with one batched BFS.
 
     Fills ``results`` with per-item error entries for the failing items —
@@ -91,10 +91,8 @@ def _batched_feasibility(pipelines: Sequence[Pipeline],
     the scalar solvers call — only the hop distances are precomputed, one BFS
     level per array pass for all distinct sources at once (items with unknown
     endpoints fall back to the checks' own lookups, which raise the scalar
-    solvers' exact errors).
+    solvers' exact errors).  ``view`` is ``network.dense_view()``.
     """
-    if view is None:
-        view = network.dense_view()
     sources = sorted({r.source for r in requests
                       if r.source in view.index_of
                       and r.destination in view.index_of})
@@ -549,8 +547,7 @@ def _no_mapping_error(engine: str, objective: Objective,
 def _solve_batch(objective: Objective, pipelines: Sequence[Pipeline],
                  network: TransportNetwork,
                  requests: Union[EndToEndRequest, Sequence[EndToEndRequest]],
-                 *, include_link_delay: bool, keep_table: bool,
-                 view: Optional[DenseNetworkView]) -> List[BatchEntry]:
+                 *, include_link_delay: bool, keep_table: bool) -> List[BatchEntry]:
     """Both ``*_many`` functions: feasibility, one stage sweep, backtracks."""
     start = time.perf_counter()
     framerate = objective is Objective.MAX_FRAME_RATE
@@ -560,13 +557,12 @@ def _solve_batch(objective: Objective, pipelines: Sequence[Pipeline],
     results: List[Optional[BatchEntry]] = [None] * B
     if B == 0:
         return []
+    view = network.dense_view()
     alive = _batched_feasibility(pipelines, network, requests, results,
                                  framerate=framerate, view=view)
     if not alive:
         return results  # type: ignore[return-value]
 
-    if view is None:
-        view = network.dense_view()
     A = len(alive)
     n_arr = np.array([pipelines[i].n_modules for i in alive])
     src = np.array([view.index_of[requests[i].source] for i in alive])
@@ -615,8 +611,7 @@ def elpc_min_delay_many(pipelines: Sequence[Pipeline],
                         network: TransportNetwork,
                         requests: Union[EndToEndRequest, Sequence[EndToEndRequest]],
                         *, include_link_delay: bool = True,
-                        keep_table: bool = False,
-                        view: Optional[DenseNetworkView] = None) -> List[BatchEntry]:
+                        keep_table: bool = False) -> List[BatchEntry]:
     """Batched exact minimum-delay mappings of many pipelines over one network.
 
     Solves the same problem as ``B`` calls of
@@ -639,12 +634,6 @@ def elpc_min_delay_many(pipelines: Sequence[Pipeline],
         As in the scalar solvers; ``keep_table`` attaches each
         item's :class:`~repro.core.dp_table.DPTable` under
         ``mapping.extras["dp_table"]``.
-    view:
-        Optional dense view to advance the DP over in place of
-        ``network.dense_view()``, for a caller that already holds the view
-        it wants solved; the warm engine (:mod:`repro.core.warm`) threads
-        its view through the same internal passes.  ``view`` must describe
-        ``network``'s topology.
 
     Returns
     -------
@@ -659,15 +648,14 @@ def elpc_min_delay_many(pipelines: Sequence[Pipeline],
     """
     return _solve_batch(Objective.MIN_DELAY, pipelines, network, requests,
                         include_link_delay=include_link_delay,
-                        keep_table=keep_table, view=view)
+                        keep_table=keep_table)
 
 
 def elpc_max_frame_rate_many(pipelines: Sequence[Pipeline],
                              network: TransportNetwork,
                              requests: Union[EndToEndRequest, Sequence[EndToEndRequest]],
                              *, include_link_delay: bool = True,
-                             keep_table: bool = False,
-                             view: Optional[DenseNetworkView] = None) -> List[BatchEntry]:
+                             keep_table: bool = False) -> List[BatchEntry]:
     """Batched maximum-frame-rate heuristic for many pipelines over one network.
 
     The batched counterpart of
@@ -685,7 +673,7 @@ def elpc_max_frame_rate_many(pipelines: Sequence[Pipeline],
     """
     return _solve_batch(Objective.MAX_FRAME_RATE, pipelines, network,
                         requests, include_link_delay=include_link_delay,
-                        keep_table=keep_table, view=view)
+                        keep_table=keep_table)
 
 
 def elpc_min_delay_tensor(pipeline: Pipeline, network: TransportNetwork,

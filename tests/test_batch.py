@@ -235,28 +235,3 @@ class TestErrorPolicy:
                 assert item.traceback and "Traceback" in item.traceback
             else:
                 assert item.ok
-
-
-class TestTensorViewArgument:
-    def test_explicit_view_matches_default_path(self):
-        """``*_many(view=network.dense_view())`` reproduces the default
-        solve bit for bit, infeasible items included."""
-        from repro.core.tensor import (
-            elpc_max_frame_rate_many,
-            elpc_min_delay_many,
-        )
-
-        instances = _mixed_suite(6, n_networks=1, seed0=30)
-        network = instances[0].network
-        pipelines = [inst.pipeline for inst in instances]
-        requests = [inst.request for inst in instances]
-        for many in (elpc_min_delay_many, elpc_max_frame_rate_many):
-            plain = many(pipelines, network, requests)
-            via_view = many(pipelines, network, requests,
-                            view=network.dense_view())
-            for a, b in zip(plain, via_view):
-                if isinstance(a, Exception):
-                    assert type(a) is type(b) and str(a) == str(b)
-                else:
-                    assert a.path == b.path
-                    assert a.objective_value == b.objective_value
