@@ -20,8 +20,6 @@ from __future__ import annotations
 import time
 from typing import List, Optional
 
-import networkx as nx
-
 from ..core.exact import enumerate_exact_hop_paths
 from ..core.mapping import Objective, PipelineMapping, mapping_from_assignment
 from ..exceptions import InfeasibleMappingError
@@ -39,6 +37,8 @@ __all__ = [
 
 def _shortest_hop_path(network: TransportNetwork, source: NodeId,
                        destination: NodeId) -> List[NodeId]:
+    import networkx as nx
+
     try:
         return list(nx.shortest_path(network.graph, source, destination))
     except nx.NetworkXNoPath:

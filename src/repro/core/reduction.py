@@ -23,11 +23,13 @@ Hamiltonian-Path question.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ..exceptions import SpecificationError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "ENSPInstance",
@@ -70,6 +72,8 @@ def hamiltonian_path_to_ensp(graph: nx.Graph, source: int,
     :math:`n` hops (where the graph has :math:`n+1` vertices) and bound
     :math:`B = n` — exactly the construction in the paper's proof.
     """
+    import networkx as nx
+
     if source not in graph or destination not in graph:
         raise SpecificationError("source/destination must be vertices of the graph")
     if source == destination:
@@ -112,6 +116,8 @@ def solve_ensp_exact(instance: ENSPInstance) -> Optional[List[int]]:
     search with hop-count pruning against the destination's shortest-path
     distances.
     """
+    import networkx as nx
+
     graph = instance.graph
     try:
         dist_to_dest = nx.single_source_shortest_path_length(graph, instance.destination)

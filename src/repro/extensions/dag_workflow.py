@@ -27,8 +27,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..exceptions import SpecificationError
 from ..model.cost import computing_time_ms
 from ..model.network import EndToEndRequest, TransportNetwork
@@ -75,6 +73,8 @@ class DagWorkflow:
     """
 
     def __init__(self) -> None:
+        import networkx as nx
+
         self._graph = nx.DiGraph()
         self._tasks: Dict[int, DagTask] = {}
 
@@ -90,6 +90,8 @@ class DagWorkflow:
 
     def add_dependency(self, producer: int, consumer: int, data_bytes: float) -> None:
         """Declare that ``consumer`` needs ``data_bytes`` produced by ``producer``."""
+        import networkx as nx
+
         if producer not in self._tasks or consumer not in self._tasks:
             raise SpecificationError("both endpoints must be registered tasks")
         if data_bytes < 0:
@@ -117,6 +119,8 @@ class DagWorkflow:
 
     def task_ids(self) -> List[int]:
         """All task ids in topological order."""
+        import networkx as nx
+
         return list(nx.topological_sort(self._graph))
 
     def predecessors(self, task_id: int) -> List[int]:
@@ -156,6 +160,8 @@ class DagWorkflow:
 
     def validate(self) -> None:
         """Check single-entry / single-exit / acyclicity; raise on violation."""
+        import networkx as nx
+
         if self.n_tasks < 2:
             raise SpecificationError("a workflow needs at least 2 tasks")
         self.entry_task()

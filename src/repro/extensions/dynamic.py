@@ -20,7 +20,7 @@ environment".  This module provides a small framework to study that setting:
   ``remap_interval`` to track resource drift, reporting the per-epoch
   end-to-end delay (interactive) of each strategy.  Per-epoch delays are
   evaluated on scaled dense views, so an evaluation sweep no longer rebuilds
-  the transport network (nodes, links and a ``networkx`` graph) at every
+  the transport network (nodes, links and adjacency) at every
   epoch — ``network_at`` is only invoked when the adaptive policy actually
   re-optimises.
 
@@ -149,7 +149,7 @@ class ResourceProfile:
         """Dense view of ``base`` with this profile's factors applied at ``time_s``.
 
         The in-place counterpart of :func:`network_at`: instead of rebuilding
-        nodes, links and a ``networkx`` graph per epoch, the base network's
+        nodes, links and adjacency per epoch, the base network's
         cached dense view is re-scaled — the power vector by the node factors,
         the bandwidth matrix (and its bits/s twin) by the link factors — and
         packaged as a fresh read-only :class:`DenseNetworkView`.  The scaled

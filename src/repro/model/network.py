@@ -9,25 +9,32 @@ simulation datasets describe it "in the form of an adjacency matrix"
 (Section 4.1).
 
 :class:`TransportNetwork` stores :class:`~repro.model.node.ComputingNode` and
-:class:`~repro.model.link.CommunicationLink` objects on top of an undirected
-:class:`networkx.Graph` and offers the queries every mapping algorithm needs:
-neighbour iteration, constant-time link lookup, hop distances, widest paths,
-and adjacency-matrix import/export.
+:class:`~repro.model.link.CommunicationLink` objects together with its own
+undirected adjacency (a dict of neighbour dicts in link-insertion order) and
+offers the queries every mapping algorithm needs: neighbour iteration,
+constant-time link lookup, hop distances, widest paths, and adjacency-matrix
+import/export.  networkx is imported only on call, by :attr:`TransportNetwork.graph`
+and :meth:`TransportNetwork.shortest_transfer_path`, so loading this module (and
+the solve and serve paths built on it) does not load networkx.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass, replace as _dc_replace
-from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
+                    Mapping, Optional, Sequence, Tuple)
 
-import networkx as nx
 import numpy as np
 
 from ..exceptions import SpecificationError
 from ..types import NodeId, NodePath
 from .link import BITS_PER_BYTE, MEGABIT, CommunicationLink, transfer_time_ms
 from .node import ComputingNode
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Scalar-edit journal entries retained per network.  Consumers further than
 #: this many epochs behind get ``delta_since() -> None`` (cold rebuild), the
@@ -355,7 +362,10 @@ class TransportNetwork:
     def __init__(self, nodes: Iterable[ComputingNode] = (),
                  links: Iterable[CommunicationLink] = (),
                  *, name: Optional[str] = None) -> None:
-        self._graph = nx.Graph()
+        #: Undirected adjacency: each node's neighbours in link-insertion
+        #: order (the order a networkx adjacency would iterate them in).
+        self._adj: Dict[NodeId, Dict[NodeId, None]] = {}
+        self._nx_graph: Optional["nx.Graph"] = None
         self._nodes: Dict[NodeId, ComputingNode] = {}
         self._links: Dict[Tuple[NodeId, NodeId], CommunicationLink] = {}
         self._next_link_id = 0
@@ -381,7 +391,7 @@ class TransportNetwork:
         if node.node_id in self._nodes:
             raise SpecificationError(f"duplicate node_id {node.node_id}")
         self._nodes[node.node_id] = node
-        self._graph.add_node(node.node_id)
+        self._adj[node.node_id] = {}
         self._invalidate_view()
 
     def add_link(self, link: CommunicationLink) -> None:
@@ -405,10 +415,8 @@ class TransportNetwork:
         self._next_link_id = max(self._next_link_id + 1,
                                  (link.link_id or 0) + 1)
         self._links[key] = link
-        self._graph.add_edge(u, v,
-                             bandwidth_mbps=link.bandwidth_mbps,
-                             min_delay_ms=link.min_delay_ms,
-                             link_id=link.link_id)
+        self._adj[u][v] = None
+        self._adj[v][u] = None
         self._invalidate_view()
 
     def remove_link(self, u: NodeId, v: NodeId) -> CommunicationLink:
@@ -423,7 +431,8 @@ class TransportNetwork:
         except KeyError:
             raise SpecificationError(
                 f"no link between nodes {u} and {v}") from None
-        self._graph.remove_edge(*key)
+        del self._adj[u][v]
+        del self._adj[v][u]
         self._invalidate_view()
         return link
 
@@ -437,9 +446,9 @@ class TransportNetwork:
             node = self._nodes.pop(node_id)
         except KeyError:
             raise SpecificationError(f"unknown node_id {node_id}") from None
-        for key in [k for k in self._links if node_id in k]:
-            del self._links[key]
-        self._graph.remove_node(node_id)
+        for nbr in self._adj.pop(node_id):
+            del self._adj[nbr][node_id]
+            del self._links[self._edge_key(node_id, nbr)]
         self._invalidate_view()
         return node
 
@@ -468,6 +477,7 @@ class TransportNetwork:
     def _invalidate_view(self) -> None:
         """Structural edit: drop the cached view and the scalar-edit journal."""
         self._dense_view = None
+        self._nx_graph = None
         self._view_epoch += 1
         self._view_deltas.clear()
 
@@ -514,6 +524,7 @@ class TransportNetwork:
                             link_cells: Tuple[Tuple[int, int], ...] = ()) -> None:
         base = self._view_epoch
         self._view_epoch = base + 1
+        self._nx_graph = None
         self._view_deltas.append(ViewDelta(
             base_epoch=base, epoch=self._view_epoch,
             node_rows=node_rows, link_cells=link_cells))
@@ -555,7 +566,6 @@ class TransportNetwork:
             return
         key = self._edge_key(u, v)
         self._links[key] = link.with_bandwidth(bandwidth_mbps)
-        self._graph[u][v]["bandwidth_mbps"] = float(bandwidth_mbps)
         self._record_scalar_edit(link_cells=(self._cell_key(u, v),))
 
     def set_link_delay(self, u: NodeId, v: NodeId, min_delay_ms: float) -> None:
@@ -566,7 +576,6 @@ class TransportNetwork:
             return
         key = self._edge_key(u, v)
         self._links[key] = _dc_replace(link, min_delay_ms=float(min_delay_ms))
-        self._graph[u][v]["min_delay_ms"] = float(min_delay_ms)
         self._record_scalar_edit(link_cells=(self._cell_key(u, v),))
 
     @staticmethod
@@ -587,9 +596,27 @@ class TransportNetwork:
         return len(self._links)
 
     @property
-    def graph(self) -> nx.Graph:
-        """The underlying :class:`networkx.Graph` (treat as read-only)."""
-        return self._graph
+    def graph(self) -> "nx.Graph":
+        """The topology as a :class:`networkx.Graph` (treat as read-only).
+
+        Built on first access (this is what imports networkx) and cached as a
+        snapshot until the next edit of any kind; an edit does not update a
+        graph obtained earlier.  Nodes come in insertion order, edges in
+        link-insertion order, and every edge carries ``bandwidth_mbps``,
+        ``min_delay_ms`` and ``link_id``.
+        """
+        if self._nx_graph is None:
+            import networkx as nx
+
+            graph = nx.Graph()
+            graph.add_nodes_from(self._adj)
+            for link in self._links.values():
+                graph.add_edge(link.start_node, link.end_node,
+                               bandwidth_mbps=link.bandwidth_mbps,
+                               min_delay_ms=link.min_delay_ms,
+                               link_id=link.link_id)
+            self._nx_graph = graph
+        return self._nx_graph
 
     def node_ids(self) -> List[NodeId]:
         """All node ids, sorted ascending."""
@@ -629,7 +656,7 @@ class TransportNetwork:
         """Ids of nodes directly connected to ``node_id``, sorted ascending."""
         if node_id not in self._nodes:
             raise SpecificationError(f"unknown node_id {node_id}")
-        return sorted(self._graph.neighbors(node_id))
+        return sorted(self._adj[node_id])
 
     def degree(self, node_id: NodeId) -> int:
         """Number of links incident to ``node_id``."""
@@ -651,7 +678,7 @@ class TransportNetwork:
         """``True`` if every node can reach every other node."""
         if self.n_nodes == 0:
             return False
-        return nx.is_connected(self._graph)
+        return len(self._bfs_depths(next(iter(self._adj)))) == self.n_nodes
 
     def is_complete(self) -> bool:
         """``True`` if the topology is a complete graph (dedicated environment)."""
@@ -686,14 +713,31 @@ class TransportNetwork:
                 return False
         return True
 
-    def hop_distance(self, source: NodeId, destination: NodeId) -> int:
-        """Minimum number of hops between two nodes (``-1`` if unreachable)."""
+    def _check_endpoints(self, source: NodeId, destination: NodeId) -> None:
         if source not in self._nodes or destination not in self._nodes:
             raise SpecificationError("unknown endpoint node id")
-        try:
-            return nx.shortest_path_length(self._graph, source, destination)
-        except nx.NetworkXNoPath:
-            return -1
+
+    def _bfs_depths(self, source: NodeId,
+                    stop: Optional[NodeId] = None) -> Dict[NodeId, int]:
+        """Hop depth of every node reachable from ``source``.
+
+        Stops as soon as ``stop`` is reached, so the result then holds
+        ``stop`` and whatever was discovered before it.
+        """
+        depth = {source: 0}
+        queue = deque([source])
+        while queue and stop not in depth:
+            u = queue.popleft()
+            for v in self._adj[u]:
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    queue.append(v)
+        return depth
+
+    def hop_distance(self, source: NodeId, destination: NodeId) -> int:
+        """Minimum number of hops between two nodes (``-1`` if unreachable)."""
+        self._check_endpoints(source, destination)
+        return self._bfs_depths(source, destination).get(destination, -1)
 
     def shortest_transfer_path(self, source: NodeId, destination: NodeId,
                                message_bytes: float) -> Tuple[NodePath, float]:
@@ -705,6 +749,9 @@ class TransportNetwork:
         may place consecutive modules on non-adjacent nodes and must route the
         intermediate traffic.
         """
+        import networkx as nx
+
+        self._check_endpoints(source, destination)
         if source == destination:
             return [source], 0.0
 
@@ -713,7 +760,7 @@ class TransportNetwork:
             return link.transport_time_ms(message_bytes)
 
         try:
-            path = nx.dijkstra_path(self._graph, source, destination, weight=weight)
+            path = nx.dijkstra_path(self.graph, source, destination, weight=weight)
         except nx.NetworkXNoPath:
             raise SpecificationError(
                 f"no route between nodes {source} and {destination}") from None
@@ -728,15 +775,12 @@ class TransportNetwork:
         infinite bottleneck bandwidth.  Implemented as a maximum-capacity
         variant of Dijkstra's algorithm.
         """
-        if source not in self._nodes or destination not in self._nodes:
-            raise SpecificationError("unknown endpoint node id")
+        self._check_endpoints(source, destination)
         if source == destination:
             return [source], float("inf")
         best: Dict[NodeId, float] = {nid: 0.0 for nid in self._nodes}
         prev: Dict[NodeId, Optional[NodeId]] = {nid: None for nid in self._nodes}
         best[source] = float("inf")
-        import heapq
-
         heap: List[Tuple[float, NodeId]] = [(-best[source], source)]
         visited: set = set()
         while heap:
@@ -747,7 +791,7 @@ class TransportNetwork:
             visited.add(u)
             if u == destination:
                 break
-            for v in self._graph.neighbors(u):
+            for v in self._adj[u]:
                 if v in visited:
                     continue
                 through = min(cap, self.bandwidth(u, v))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SpecificationError
+from repro.generators import random_network
 from repro.model import (
     CommunicationLink,
     ComputingNode,
@@ -136,6 +137,15 @@ class TestPathQueries:
         assert time_ms > 0
         same, zero = net.shortest_transfer_path(2, 2, 1000.0)
         assert same == [2] and zero == 0.0
+
+    def test_shortest_transfer_path_rejects_unknown_endpoints(self):
+        # An unknown endpoint used to come back as a zero-cost path (when
+        # source == destination) or as networkx.NodeNotFound; it is now the
+        # same SpecificationError that hop_distance and widest_path raise.
+        net = random_network(6, 8, seed=1)
+        for source, destination in [(99, 99), (99, 0), (0, 99)]:
+            with pytest.raises(SpecificationError, match="unknown endpoint"):
+                net.shortest_transfer_path(source, destination, 1e3)
 
     def test_widest_path(self):
         net = build_net()
