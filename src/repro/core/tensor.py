@@ -170,7 +170,9 @@ class StagedView:
     CSR edge arrays and transport vectors, plus the padded-slot layout both
     DP sweeps take their per-node minimum over: a node with no incoming edge
     or no finite candidate gets ``inf``, and the first minimal slot is the
-    lowest predecessor index.
+    lowest predecessor index.  The layout depends on the topology alone, so
+    a view and all of its scalar patches share one set of layout arrays;
+    only ``power_ms`` and the edge vectors differ between them.
 
     Attributes
     ----------
@@ -199,6 +201,10 @@ class StagedView:
         index (-1 in padding slots).
     row_base:
         ``(k,)`` offsets of each node's first slot in the flattened layout.
+    slot_u, slot_edge:
+        ``(k, max(max_deg, 1))`` per-node slot sources and CSR edge indices
+        for the warm engine, whose padding names the sentinel column ``k``
+        and the sentinel edge ``2|E|`` instead.
     """
 
     k: int
@@ -214,9 +220,46 @@ class StagedView:
     slot_to_u_flat: np.ndarray
     slot_to_edge_flat: np.ndarray
     row_base: np.ndarray
+    slot_u: np.ndarray
+    slot_edge: np.ndarray
 
 
 _STAGED: Dict[int, StagedView] = {}
+#: Topology-only staging, keyed by the id of the ``edge_u`` array a view
+#: shares with all of its patches.  The entries hold no view array, so the
+#: key's finalizer fires once the last view of the topology is collected.
+_LAYOUTS: Dict[int, Dict[str, object]] = {}
+
+
+def _slot_layout(view: DenseNetworkView) -> Dict[str, object]:
+    """The padded-slot layout of ``view``'s topology, built once per topology."""
+    key = id(view.edge_u)
+    layout = _LAYOUTS.get(key)
+    if layout is not None:
+        return layout
+    k = view.n_nodes
+    E2 = view.n_directed_edges
+    counts = np.diff(view.edge_indptr)
+    max_deg = int(counts.max()) if E2 else 0
+    D = max(max_deg, 1)
+    slot_within = np.arange(E2) - np.repeat(view.edge_indptr[:-1], counts)
+    flat_slot = (view.edge_v * max_deg + slot_within).astype(np.intp)
+    slot_to_u = np.zeros(k * D, dtype=np.intp)
+    slot_to_u[flat_slot] = view.edge_u
+    slot_to_edge = np.full(k * D, -1, dtype=np.intp)
+    slot_to_edge[flat_slot] = np.arange(E2)
+    padding = slot_to_edge < 0
+    layout = {
+        "k": k, "n_directed_edges": E2, "max_deg": max_deg,
+        "rows": np.arange(k), "flat_slot": flat_slot,
+        "slot_to_u_flat": slot_to_u, "slot_to_edge_flat": slot_to_edge,
+        "row_base": (np.arange(k) * max_deg).astype(np.intp),
+        "slot_u": np.where(padding, k, slot_to_u).reshape(k, D),
+        "slot_edge": np.where(padding, E2, slot_to_edge).reshape(k, D),
+    }
+    _LAYOUTS[key] = layout
+    weakref.finalize(view.edge_u, _LAYOUTS.pop, key, None)
+    return layout
 
 
 def stage_view(view: DenseNetworkView) -> StagedView:
@@ -224,34 +267,21 @@ def stage_view(view: DenseNetworkView) -> StagedView:
 
     Later calls return the same object until the view is garbage-collected
     (networks cache their view until mutation, so one staging serves every
-    solve over an unchanged topology).
+    solve over an unchanged topology).  A scalar patch of a staged view
+    restages only ``power_ms`` and the edge vectors; the slot layout is
+    shared with every other view of the same topology.
     """
     key = id(view)
     staged = _STAGED.get(key)
     if staged is not None:
         return staged
-    k = view.n_nodes
-    E2 = view.n_directed_edges
-    counts = np.diff(view.edge_indptr)
-    max_deg = int(counts.max()) if E2 else 0
-    slot_within = np.arange(E2) - np.repeat(view.edge_indptr[:-1], counts)
-    flat_slot = (view.edge_v * max_deg + slot_within).astype(np.intp)
-    slot_to_u = np.zeros(k * max(max_deg, 1), dtype=np.intp)
-    slot_to_u[flat_slot] = view.edge_u
-    slot_to_edge = np.full(k * max(max_deg, 1), -1, dtype=np.intp)
-    slot_to_edge[flat_slot] = np.arange(E2)
     staged = StagedView(
-        k=k, n_directed_edges=E2, max_deg=max_deg,
         power_ms=view.power * 1e3,
         edge_u=view.edge_u,
         edge_v=view.edge_v,
         edge_bandwidth_bits_per_s=view.edge_bandwidth_bits_per_s,
         edge_link_delay=view.edge_link_delay,
-        rows=np.arange(k),
-        flat_slot=flat_slot,
-        slot_to_u_flat=slot_to_u,
-        slot_to_edge_flat=slot_to_edge,
-        row_base=(np.arange(k) * max_deg).astype(np.intp))
+        **_slot_layout(view))
     _STAGED[key] = staged
     # Evict on view collection so solves over many throwaway networks do
     # not pin their layouts forever.

@@ -130,19 +130,14 @@ def _warm_min_delay_stages(staged: StagedView, n_arr: np.ndarray,
     A, k = len(priors), staged.k
     K = k + 1  # each item's k columns, then one sentinel cell
     n_max = int(n_arr.max())
-    D = max(staged.max_deg, 1)
-    valid = np.zeros(k * D, dtype=bool)
-    valid[staged.flat_slot] = True
-    slot_edge = np.zeros(k * D, dtype=np.intp)
-    slot_edge[staged.flat_slot] = np.arange(staged.n_directed_edges)
     # Padding slots name column k, the item's sentinel cell (inf value, -1
     # predecessor, never a candidate), so no gather needs a mask pass; their
-    # finite stand-in attributes keep every padding cost at inf.
-    slot_u = np.where(valid, staged.slot_to_u_flat, k).reshape(k, D)
-    slot_bw = np.where(valid, staged.edge_bandwidth_bits_per_s[slot_edge],
-                       1.0).reshape(k, D)
-    slot_delay = np.where(valid, staged.edge_link_delay[slot_edge],
-                          0.0).reshape(k, D)
+    # finite stand-in attributes (the sentinel edge) keep every padding cost
+    # at inf.
+    slot_u = staged.slot_u
+    slot_bw = np.append(staged.edge_bandwidth_bits_per_s,
+                        1.0)[staged.slot_edge]
+    slot_delay = np.append(staged.edge_link_delay, 0.0)[staged.slot_edge]
     power_ms = np.append(staged.power_ms, 1.0)
     message_bits = message * BITS_PER_BYTE
 

@@ -21,8 +21,12 @@ the solve and serve paths built on it) does not load networkx.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace as _dc_replace
+from functools import cached_property
+from itertools import islice
+from operator import attrgetter
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
                     Mapping, Optional, Sequence, Tuple)
 
@@ -101,12 +105,15 @@ class DenseNetworkView:
         ``(k, k)`` boolean adjacency matrix (symmetric, zero diagonal).
     bandwidth:
         ``(k, k)`` link bandwidths in Mbit/s; 0 where no link exists.
+        Derived from the edge vectors on first read (once per view object)
+        and read-only, like the two matrices below: no engine reads them,
+        so a scalar patch never pays for them.
     link_delay:
         ``(k, k)`` minimum link delays in ms; 0 where no link exists.
     bandwidth_bits_per_s:
-        ``(k, k)`` bandwidths converted to bits/second (0 where no link);
-        precomputed so transport matrices replicate the scalar cost model's
-        floating-point operations exactly.
+        ``(k, k)`` bandwidths converted to bits/second (0 where no link),
+        ``bandwidth * MEGABIT`` element-wise, so transport matrices
+        replicate the scalar cost model's floating-point operations exactly.
     edge_u, edge_v:
         ``(2|E|,)`` directed edge endpoint indices (both orientations of every
         undirected link), sorted lexicographically by ``(v, u)``.  Together
@@ -119,9 +126,12 @@ class DenseNetworkView:
     edge_indptr:
         ``(k + 1,)`` CSR segment boundaries over :attr:`edge_u` /
         :attr:`edge_v`.
-    edge_bandwidth_bits_per_s:
-        ``(2|E|,)`` per-directed-edge bandwidths in bits/second, aligned with
+    edge_bandwidth_mbps:
+        ``(2|E|,)`` per-directed-edge bandwidths in Mbit/s, aligned with
         :attr:`edge_u`.
+    edge_bandwidth_bits_per_s:
+        ``(2|E|,)`` the same bandwidths in bits/second
+        (``edge_bandwidth_mbps * MEGABIT``).
     edge_link_delay:
         ``(2|E|,)`` per-directed-edge minimum link delays in ms.
     neighbor_lists:
@@ -139,12 +149,10 @@ class DenseNetworkView:
     index_of: Dict[NodeId, int]
     power: np.ndarray
     adjacency: np.ndarray
-    bandwidth: np.ndarray
-    link_delay: np.ndarray
-    bandwidth_bits_per_s: np.ndarray
     edge_u: np.ndarray
     edge_v: np.ndarray
     edge_indptr: np.ndarray
+    edge_bandwidth_mbps: np.ndarray
     edge_bandwidth_bits_per_s: np.ndarray
     edge_link_delay: np.ndarray
     neighbor_lists: Tuple[Tuple[NodeId, ...], ...]
@@ -158,17 +166,15 @@ class DenseNetworkView:
 
         Shared by :meth:`TransportNetwork.dense_view` and by
         :meth:`repro.extensions.dynamic.ResourceProfile.scaled_view`, which
-        re-scales the base matrices in place of rebuilding a network.  All
-        arrays are frozen (``writeable=False``) because the view is shared by
-        every solve until the next mutation.
+        re-scales the base matrices in place of rebuilding a network.  Only
+        the link cells of ``bandwidth`` / ``link_delay`` are kept, as edge
+        vectors.  All arrays are frozen (``writeable=False``) because the view
+        is shared by every solve until the next mutation.
         """
         ids = tuple(node_ids)
         index = {nid: i for i, nid in enumerate(ids)}
         power = np.asarray(power, dtype=float)
         adjacency = np.asarray(adjacency, dtype=bool)
-        bandwidth = np.asarray(bandwidth, dtype=float)
-        link_delay = np.asarray(link_delay, dtype=float)
-        bits_per_s = bandwidth * MEGABIT
         # CSR edge layout over incoming edges, sorted by (v, u).
         e_u, e_v = np.nonzero(adjacency)          # row-major: sorted by u, then v
         order = np.lexsort((e_u, e_v))            # re-sort by v, then u
@@ -176,19 +182,18 @@ class DenseNetworkView:
         edge_v = np.ascontiguousarray(e_v[order])
         counts = np.bincount(edge_v, minlength=len(ids))
         edge_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        edge_bits = np.ascontiguousarray(bits_per_s[edge_u, edge_v])
-        edge_delay = np.ascontiguousarray(link_delay[edge_u, edge_v])
+        edge_bw = np.asarray(bandwidth, dtype=float)[edge_u, edge_v]
+        edge_bits = edge_bw * MEGABIT
+        edge_delay = np.asarray(link_delay, dtype=float)[edge_u, edge_v]
         neighbor_lists = tuple(
             tuple(ids[j] for j in np.flatnonzero(adjacency[i]))
             for i in range(len(ids)))
-        arrays = (power, adjacency, bandwidth, link_delay, bits_per_s,
-                  edge_u, edge_v, edge_indptr, edge_bits, edge_delay)
-        for arr in arrays:
+        for arr in (power, adjacency, edge_u, edge_v, edge_indptr, edge_bw,
+                    edge_bits, edge_delay):
             arr.setflags(write=False)
         return cls(node_ids=ids, index_of=index, power=power,
-                   adjacency=adjacency, bandwidth=bandwidth,
-                   link_delay=link_delay, bandwidth_bits_per_s=bits_per_s,
-                   edge_u=edge_u, edge_v=edge_v, edge_indptr=edge_indptr,
+                   adjacency=adjacency, edge_u=edge_u, edge_v=edge_v,
+                   edge_indptr=edge_indptr, edge_bandwidth_mbps=edge_bw,
                    edge_bandwidth_bits_per_s=edge_bits,
                    edge_link_delay=edge_delay, neighbor_lists=neighbor_lists,
                    epoch=epoch)
@@ -203,17 +208,19 @@ class DenseNetworkView:
         ``node_powers`` maps row indices to new processing powers;
         ``link_values`` maps ``(i, j)`` row-index pairs of *existing* links to
         their new ``(bandwidth_mbps, min_delay_ms)``.  The returned view is a
-        **new object** that shares every unchanged array with this one and
-        carries fresh frozen copies only of the arrays a patch touches — so
-        every consumer cache keyed by view identity (the tensor engine's
-        staging cache, the scaled-view cache)
-        correctly misses, while the untouched topology arrays stay zero-copy.
+        **new object** that shares every topology array with this one and
+        carries fresh frozen copies only of ``power`` and the ``(2|E|,)`` edge
+        vectors a patch touches, so a patch costs :math:`O(k + |E|)`, never
+        :math:`O(k^2)`.  Every consumer cache keyed by view identity (the
+        tensor engine's staging cache, the scaled-view cache) correctly
+        misses, and the ``(k, k)`` link matrices are derived afresh on the
+        new view's first read.
 
         Patched entries apply the exact element-wise operations
-        :meth:`build` applies (``bandwidth * MEGABIT`` for the bits/s arrays,
-        direct writes for delays and powers), so a patched view is
-        bit-identical to a from-scratch rebuild of the edited network — the
-        property the differential suite pins.
+        :meth:`build` applies (``bandwidth * MEGABIT`` for bits/s, direct
+        writes for delays and powers), so a patched view is bit-identical to
+        a from-scratch rebuild of the edited network — the property the
+        differential suite pins.
         """
         changes: Dict[str, np.ndarray] = {}
         if node_powers:
@@ -222,38 +229,57 @@ class DenseNetworkView:
                 power[row] = float(value)
             changes["power"] = power
         if link_values:
-            bandwidth = self.bandwidth.copy()
-            link_delay = self.link_delay.copy()
-            bits_per_s = self.bandwidth_bits_per_s.copy()
+            edge_bw = self.edge_bandwidth_mbps.copy()
             edge_bits = self.edge_bandwidth_bits_per_s.copy()
             edge_delay = self.edge_link_delay.copy()
             for (i, j), (bw, delay) in link_values.items():
-                if not self.adjacency[i, j]:
-                    raise SpecificationError(
-                        f"patched() got cell ({i}, {j}) but no link exists "
-                        "there — structural edits need a rebuild")
                 bw = float(bw)
                 delay = float(delay)
                 bits = bw * MEGABIT
-                bandwidth[i, j] = bandwidth[j, i] = bw
-                link_delay[i, j] = link_delay[j, i] = delay
-                bits_per_s[i, j] = bits_per_s[j, i] = bits
                 # The two directed CSR slots: edge (u -> v) lives in the
                 # incoming segment of v, with u ascending inside it.
                 for u, v in ((i, j), (j, i)):
                     lo = int(self.edge_indptr[v])
                     hi = int(self.edge_indptr[v + 1])
                     pos = lo + int(np.searchsorted(self.edge_u[lo:hi], u))
+                    if pos == hi or self.edge_u[pos] != u:
+                        raise SpecificationError(
+                            f"patched() got cell ({i}, {j}) but no link "
+                            "exists there — structural edits need a rebuild")
+                    edge_bw[pos] = bw
                     edge_bits[pos] = bits
                     edge_delay[pos] = delay
-            changes["bandwidth"] = bandwidth
-            changes["link_delay"] = link_delay
-            changes["bandwidth_bits_per_s"] = bits_per_s
+            changes["edge_bandwidth_mbps"] = edge_bw
             changes["edge_bandwidth_bits_per_s"] = edge_bits
             changes["edge_link_delay"] = edge_delay
         for arr in changes.values():
             arr.setflags(write=False)
         return _dc_replace(self, epoch=epoch, **changes)
+
+    def _edge_matrix(self, edge_values: np.ndarray) -> np.ndarray:
+        """``(k, k)`` frozen matrix holding ``edge_values`` at the link cells."""
+        k = self.n_nodes
+        matrix = np.zeros((k, k))
+        matrix[self.edge_u, self.edge_v] = edge_values
+        matrix.setflags(write=False)
+        return matrix
+
+    @cached_property
+    def bandwidth(self) -> np.ndarray:
+        """``(k, k)`` link bandwidths in Mbit/s; 0 where no link exists."""
+        return self._edge_matrix(self.edge_bandwidth_mbps)
+
+    @cached_property
+    def link_delay(self) -> np.ndarray:
+        """``(k, k)`` minimum link delays in ms; 0 where no link exists."""
+        return self._edge_matrix(self.edge_link_delay)
+
+    @cached_property
+    def bandwidth_bits_per_s(self) -> np.ndarray:
+        """``(k, k)`` bandwidths in bits/second; 0 where no link exists."""
+        bits = self.bandwidth * MEGABIT
+        bits.setflags(write=False)
+        return bits
 
     @property
     def n_nodes(self) -> int:
@@ -495,21 +521,24 @@ class TransportNetwork:
             return ViewDelta(base_epoch=epoch, epoch=current)
         if epoch > current:
             return None
-        merged: Optional[ViewDelta] = None
-        for entry in self._view_deltas:
-            if entry.epoch <= epoch:
-                continue
-            if merged is None:
-                if entry.base_epoch != epoch:
-                    return None  # journal trimmed below the requested epoch
-                merged = entry
-            else:
-                if entry.base_epoch != merged.epoch:
-                    return None  # gap: a structural edit cleared the chain
-                merged = merged.merged_with(entry)
-        if merged is None or merged.epoch != current:
+        # One pass from the first entry past ``epoch`` (the journal ascends
+        # by epoch): check the chain, take one union, sort once.
+        rows: set = set()
+        cells: set = set()
+        reached = epoch
+        first = bisect_right(self._view_deltas, epoch,
+                             key=attrgetter("epoch"))
+        for entry in islice(self._view_deltas, first, None):
+            if entry.base_epoch != reached:
+                return None  # journal trimmed below ``epoch``, or a gap
+            rows.update(entry.node_rows)
+            cells.update(entry.link_cells)
+            reached = entry.epoch
+        if reached != current:
             return None
-        return merged
+        return ViewDelta(base_epoch=epoch, epoch=current,
+                         node_rows=tuple(sorted(rows)),
+                         link_cells=tuple(sorted(cells)))
 
     def _row_index(self, node_id: NodeId) -> int:
         if self._dense_view is not None:
@@ -843,14 +872,16 @@ class TransportNetwork:
         """Cached dense array snapshot of the topology and its attributes.
 
         The first call after a structural mutation materialises the
-        node-index map, the processing-power vector and the adjacency /
-        bandwidth / link-delay matrices; subsequent calls return the same
+        node-index map, the processing-power vector, the adjacency matrix
+        and the CSR edge layout with its bandwidth / link-delay vectors;
+        subsequent calls return the same
         :class:`DenseNetworkView` instance until :meth:`add_node` /
         :meth:`add_link` / :meth:`remove_node` / :meth:`remove_link`
         invalidates it.  Scalar edits (:meth:`set_processing_power`,
         :meth:`set_bandwidth`, :meth:`set_link_delay`) do *not* invalidate:
-        they swap in a copy-on-write patched view that shares every unchanged
-        array with its predecessor.  The tensor ELPC engine
+        they swap in a copy-on-write patched view that shares every topology
+        array with its predecessor and copies only O(k + |E|) values (see
+        :meth:`DenseNetworkView.patched`).  The tensor ELPC engine
         (:mod:`repro.core.tensor`) and the warm engine rely on this so
         repeated solves over one topology pay the O(k²) construction only once.
         """
@@ -871,8 +902,8 @@ class TransportNetwork:
             adjacency[i, j] = adjacency[j, i] = True
             bandwidth[i, j] = bandwidth[j, i] = link.bandwidth_mbps
             link_delay[i, j] = link_delay[j, i] = link.min_delay_ms
-        # DenseNetworkView.build derives the bits/s matrix, the CSR edge
-        # layout and the neighbour lists, and freezes every array so a caller
+        # DenseNetworkView.build derives the CSR edge layout, its transport
+        # vectors and the neighbour lists, and freezes every array so a caller
         # mutating them gets an error instead of silently corrupting all later
         # array solves on this network.
         self.rebuilds_total += 1

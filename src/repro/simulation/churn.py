@@ -27,14 +27,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.batch import BatchRunResult, solve_many
-from ..core.mapping import Objective
+from ..core.mapping import Objective, PipelineMapping
 from ..exceptions import SimulationError, SpecificationError
 from ..model.cost import end_to_end_delay_ms, frame_rate_fps
 from ..model.network import TransportNetwork
 from ..model.serialization import ProblemInstance
 
 __all__ = ["ChurnEvent", "ChurnStepResult", "ChurnResult",
-           "generate_churn_events", "simulate_churn"]
+           "generate_churn_events", "plans_differ", "simulate_churn"]
 
 #: Schema tag of ``repro churn --emit-json`` — the ``repro-bench/1`` format
 #: shared with every other benchmark producer in this repo.
@@ -279,6 +279,20 @@ def _plan_value(mapping, *, objective: Objective,
                           mapping.path, include_link_delay=include_link_delay)
 
 
+def plans_differ(warm: Optional[PipelineMapping],
+                 cold: Optional[PipelineMapping]) -> bool:
+    """``True`` when two solves of one instance disagree.
+
+    They disagree when exactly one failed, or when their paths, module
+    groupings or objective values differ: a regrouping on the same path
+    with an equal objective value is still a different plan.
+    """
+    if warm is None or cold is None:
+        return (warm is None) != (cold is None)
+    return (warm.path != cold.path or warm.groups != cold.groups
+            or warm.objective_value != cold.objective_value)
+
+
 def simulate_churn(network: TransportNetwork,
                    instances: Sequence[Any],
                    events: Sequence[ChurnEvent], *,
@@ -345,14 +359,9 @@ def simulate_churn(network: TransportNetwork,
 
         mismatches = 0
         if verify:
-            for warm_item, cold_item in zip(warm.items, cold.items):
-                wm, cm = warm_item.mapping, cold_item.mapping
-                if (wm is None) != (cm is None):
-                    mismatches += 1
-                elif wm is not None and (
-                        wm.path != cm.path
-                        or wm.objective_value != cm.objective_value):
-                    mismatches += 1
+            mismatches = sum(
+                plans_differ(warm_item.mapping, cold_item.mapping)
+                for warm_item, cold_item in zip(warm.items, cold.items))
 
         fresh_values = [
             _plan_value(item.mapping, objective=objective,

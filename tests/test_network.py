@@ -284,3 +284,104 @@ class TestDenseView:
             net.dense_view().transport_matrix_ms(-1.0)
         with pytest.raises(SpecificationError):
             TransportNetwork().dense_view()
+
+
+class TestScalarEditCost:
+    def test_scalar_edit_is_linear_in_links(self):
+        """One bandwidth edit patches O(|E|) vectors: it allocates less than
+        one k x k float matrix and shares the topology and its staging."""
+        import tracemalloc
+
+        from repro.core.tensor import stage_view
+
+        net = random_network(1000, 3000, seed=3)
+        view = net.dense_view()
+        staged = stage_view(view)
+        link = net.links()[0]
+        tracemalloc.start()
+        try:
+            net.set_bandwidth(link.start_node, link.end_node,
+                              link.bandwidth_mbps * 1.5)
+            patched = net.dense_view()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = view.n_nodes
+        assert peak < k * k * 8, f"one edit allocated {peak / 1e6:.1f} MB"
+        assert patched is not view
+        for name in ("adjacency", "edge_u", "edge_v", "edge_indptr",
+                     "neighbor_lists"):
+            assert getattr(patched, name) is getattr(view, name), name
+        restaged = stage_view(patched)
+        assert restaged is not staged
+        for name in ("flat_slot", "slot_to_u_flat", "slot_to_edge_flat"):
+            assert getattr(restaged, name) is getattr(staged, name), name
+        i, j = view.index_of[link.start_node], view.index_of[link.end_node]
+        assert patched.bandwidth[i, j] == link.bandwidth_mbps * 1.5
+        assert view.bandwidth[i, j] == link.bandwidth_mbps
+
+    def test_patch_rejects_a_cell_without_a_link(self):
+        view = build_net().dense_view()
+        i, j = view.index_of[1], view.index_of[3]  # no 1-3 link
+        with pytest.raises(SpecificationError, match="no link exists"):
+            view.patched(epoch=1, link_values={(i, j): (1.0, 1.0)})
+
+
+def _edit_journal(net: TransportNetwork, rng: np.random.Generator,
+                  n_edits: int) -> list:
+    """Apply ``n_edits`` random scalar edits, returning each one's delta."""
+    links, nodes = net.links(), net.nodes()
+    steps = []
+    for _ in range(n_edits):
+        factor = float(rng.uniform(0.5, 1.5))
+        if rng.integers(3) == 0:
+            node = nodes[int(rng.integers(len(nodes)))]
+            net.set_processing_power(node.node_id,
+                                     node.processing_power * factor)
+        else:
+            link = links[int(rng.integers(len(links)))]
+            if rng.integers(2):
+                net.set_bandwidth(link.start_node, link.end_node,
+                                  link.bandwidth_mbps * factor)
+            else:
+                net.set_link_delay(link.start_node, link.end_node,
+                                   link.min_delay_ms * factor + 0.1)
+        steps.append(net.delta_since(net.view_epoch - 1))
+    return steps
+
+
+class TestViewJournal:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_merge_equals_pairwise_merge(self, seed):
+        from functools import reduce
+
+        net = random_network(20, 40, seed=seed)
+        net.dense_view()
+        start = net.view_epoch
+        steps = _edit_journal(net, np.random.default_rng(seed), 60)
+        assert net.view_epoch == start + len(steps)
+        for offset in range(len(steps)):
+            expected = reduce(lambda a, b: a.merged_with(b), steps[offset:])
+            assert net.delta_since(start + offset) == expected
+        assert net.delta_since(net.view_epoch).is_empty
+
+    def test_unbridgeable_gaps_return_none(self):
+        from repro.model.network import _VIEW_JOURNAL_LIMIT
+
+        net = random_network(20, 40, seed=7)
+        net.dense_view()
+        start = net.view_epoch
+        _edit_journal(net, np.random.default_rng(7), 3)
+        assert net.delta_since(net.view_epoch + 1) is None   # future epoch
+        _edit_journal(net, np.random.default_rng(8), _VIEW_JOURNAL_LIMIT)
+        assert net.delta_since(start) is None                # trimmed
+        assert net.delta_since(net.view_epoch - _VIEW_JOURNAL_LIMIT) is not None
+        before = net.view_epoch
+        net.connect(*_unlinked_pair(net), bandwidth_mbps=5.0)
+        assert net.delta_since(before) is None               # structural
+
+
+def _unlinked_pair(net: TransportNetwork) -> tuple:
+    ids = net.node_ids()
+    return next((u, v) for u in ids for v in ids
+                if u < v and not net.has_link(u, v))

@@ -205,6 +205,13 @@ class NetworkMachine(RuleBasedStateMachine):
                 assert np.array_equal(ours, theirs), field.name
             else:
                 assert ours == theirs, field.name
+        # The k x k link matrices are derived on first read, not stored as
+        # fields, so the loop above does not reach them.
+        for name in ("bandwidth", "link_delay", "bandwidth_bits_per_s"):
+            ours, theirs = getattr(view, name), getattr(fresh, name)
+            assert ours.dtype == theirs.dtype, name
+            assert ours.tobytes() == theirs.tobytes(), name
+            assert not ours.flags.writeable and not theirs.flags.writeable, name
 
 
 NetworkMachine.TestCase.settings = settings(

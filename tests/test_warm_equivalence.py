@@ -43,7 +43,8 @@ PROFILE = settings(max_examples=10, deadline=None,
 
 _VIEW_ARRAYS = ("power", "adjacency", "bandwidth", "link_delay",
                 "bandwidth_bits_per_s", "edge_u", "edge_v", "edge_indptr",
-                "edge_bandwidth_bits_per_s", "edge_link_delay")
+                "edge_bandwidth_mbps", "edge_bandwidth_bits_per_s",
+                "edge_link_delay")
 
 
 def _apply_random_edits(network: TransportNetwork, rng: np.random.Generator,
