@@ -11,6 +11,17 @@ Objective values are always *re-derivable* from the mapping itself via the
 analytic cost model (:mod:`repro.model.cost`); the convenience properties
 :attr:`PipelineMapping.delay_ms` and :attr:`PipelineMapping.frame_rate_fps`
 do exactly that, so a stored result can never disagree with its own mapping.
+
+Structure is checked once per mapping.  The public constructor (and
+:func:`mapping_from_assignment`, which every baseline and scalar engine goes
+through) runs :func:`~repro.model.validation.validate_mapping_structure` on
+each instance.  The tensor and warm engines build their mappings through
+:meth:`PipelineMapping._trusted` instead: their groups come from splitting a
+backtracked assignment at node changes (a contiguous cover by
+construction), and the flush's assembly (``core/tensor.py::_assemble``)
+checks every hop of every path against the dense view's CSR edges in one
+array pass, raising the same :class:`~repro.exceptions.SpecificationError`
+on a non-walk, so no engine-built mapping escapes the walk check.
 """
 
 from __future__ import annotations
@@ -86,9 +97,34 @@ class PipelineMapping:
 
     def __post_init__(self) -> None:
         validate_mapping_structure(self.pipeline, self.network, self.groups, self.path)
+        self._check_reuse()
+
+    def _check_reuse(self) -> None:
         if not self.allow_reuse and len(set(self.path)) != len(self.path):
             raise SpecificationError(
                 "mapping declares allow_reuse=False but its path revisits a node")
+
+    @classmethod
+    def _trusted(cls, pipeline: Pipeline, network: TransportNetwork,
+                 groups: Grouping, path: NodePath, objective: Objective,
+                 algorithm: str, runtime_s: float, allow_reuse: bool,
+                 extras: Dict[str, Any]) -> "PipelineMapping":
+        """Build a mapping whose structure the caller has already checked.
+
+        Skips :func:`~repro.model.validation.validate_mapping_structure`
+        (the per-hop ``is_walk`` / ``has_link`` chain); the no-reuse check
+        still runs.  Only the engines' flush assembly calls it, after its
+        batched walk check — see the module docstring.  The result is the
+        same frozen object the public constructor would build.
+        """
+        mapping = object.__new__(cls)
+        mapping.__dict__.update(
+            pipeline=pipeline, network=network, groups=groups, path=path,
+            objective=objective, algorithm=algorithm, runtime_s=runtime_s,
+            allow_reuse=allow_reuse, extras=extras)
+        if not allow_reuse:
+            mapping._check_reuse()
+        return mapping
 
     # ------------------------------------------------------------------ #
     # Objective values (always recomputed from the mapping itself)

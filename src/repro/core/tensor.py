@@ -30,6 +30,8 @@ error entry, giving the uniform solver signature.
 
 from __future__ import annotations
 
+import bisect
+import math
 import time
 import weakref
 from dataclasses import dataclass
@@ -37,14 +39,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..exceptions import InfeasibleMappingError, ReproError
+from ..exceptions import (InfeasibleMappingError, ReproError,
+                          SpecificationError)
 from ..model.link import BITS_PER_BYTE
 from ..model.network import DenseNetworkView, EndToEndRequest, TransportNetwork
 from ..model.pipeline import Pipeline
 from ..model.validation import check_delay_instance, check_framerate_instance
-from ..types import NodeId
 from .dp_table import DPTable
-from .mapping import Objective, PipelineMapping, mapping_from_assignment
+from .mapping import Objective, PipelineMapping
 
 __all__ = [
     "elpc_min_delay_many",
@@ -65,8 +67,6 @@ def _broadcast_requests(requests: Union[EndToEndRequest, Sequence[EndToEndReques
         return [requests] * count
     requests = list(requests)
     if len(requests) != count:
-        from ..exceptions import SpecificationError
-
         raise SpecificationError(
             f"{count} pipelines but {len(requests)} requests; pass one request "
             "per pipeline or a single shared request")
@@ -115,19 +115,6 @@ def _batched_feasibility(pipelines: Sequence[Pipeline],
     return alive
 
 
-def _backtrack(view: DenseNetworkView, pred: np.ndarray,
-               last_index: int) -> List[NodeId]:
-    """Follow the per-column predecessor-index arrays back to the base column."""
-    n = pred.shape[0]
-    assignment: List[NodeId] = [0] * n
-    idx = last_index
-    for j in range(n - 1, 0, -1):
-        assignment[j] = view.node_ids[idx]
-        idx = int(pred[j, idx])
-    assignment[0] = view.node_ids[idx]
-    return assignment
-
-
 def _as_dp_table(view: DenseNetworkView, values: np.ndarray, pred: np.ndarray,
                  same: Optional[np.ndarray]) -> DPTable:
     """Materialise one item's ``(n, k)`` arrays as a :class:`DPTable`.
@@ -148,15 +135,78 @@ def _as_dp_table(view: DenseNetworkView, values: np.ndarray, pred: np.ndarray,
 def _stage_arrays(pipelines: Sequence[Pipeline], alive: Sequence[int],
                   n_max: int) -> tuple:
     """(n_max, A) workload and message-size arrays, zero-padded past each end."""
-    A = len(alive)
-    workload = np.zeros((n_max, A))
-    message = np.zeros((n_max, A))
+    stages = np.zeros((2, n_max, len(alive)))
     for a, i in enumerate(alive):
-        modules = pipelines[i].modules
-        workload[:len(modules), a] = [m.complexity * m.input_bytes
-                                      for m in modules]
-        message[:len(modules), a] = [m.input_bytes for m in modules]
-    return workload, message
+        vectors = pipelines[i].stage_vectors()
+        stages[:, :vectors.shape[1], a] = vectors
+    return stages[0], stages[1]
+
+
+def _assemble(view: DenseNetworkView, network: TransportNetwork,
+              objective: Objective, algorithm: str,
+              pipelines: Sequence[Pipeline], pred: np.ndarray,
+              rows: Sequence[int], dst: Sequence[int],
+              extras: Sequence[Dict], *,
+              runtime_s: float) -> List[PipelineMapping]:
+    """Backtrack a flush's solved items and build their mappings.
+
+    ``pred`` is the flush's predecessor table, indexed ``[item, stage,
+    column]`` (columns past the view's ``k`` are never read on a sound
+    table).  Item ``rows[b]`` — pipeline ``pipelines[b]``, destination
+    column ``dst[b]`` — becomes the ``b``-th mapping, carrying
+    ``extras[b]``.
+
+    Each item is followed back from its destination cell; a predecessor
+    equal to the current column is a stay on the same node, anything else
+    closes a group, so the groups are a contiguous ordered cover by
+    construction.  Then every hop of every path is checked against the
+    view's CSR edges (:attr:`StagedView.hop_ok`) in one array pass: a path
+    that is not a walk (a corrupted table, or a kernel fault) raises the
+    :class:`~repro.exceptions.SpecificationError` the public
+    :class:`PipelineMapping` constructor would, and no mapping of the flush
+    is returned.  The mappings are built through
+    :meth:`PipelineMapping._trusted`, which skips the per-hop
+    re-validation.  The backtrack stays a per-item Python walk: a stage-wise
+    array backtrack costs a few array calls per stage, which a flush of one
+    or two items (what a serving flush holds) never earns back.
+    """
+    node_ids = view.node_ids
+    width = view.n_nodes + 1  # row stride of StagedView.hop_ok
+    cell = pred.item
+    module_ids: List[int] = []
+    built: List[PipelineMapping] = []
+    hops: List[int] = []   # hop_ok index of every hop, item after item
+    ends: List[int] = []   # len(hops) after each item
+    for b, a in enumerate(rows):
+        end = pipelines[b].n_modules
+        if end > len(module_ids):
+            module_ids = list(range(end))
+        current = dst[b]
+        cols = [current]
+        groups = []
+        for j in range(end - 1, 0, -1):
+            previous = cell(a, j, current)
+            if previous != current:
+                hops.append(previous * width + current)
+                groups.append(module_ids[j:end])
+                cols.append(previous)
+                current = previous
+                end = j
+        groups.append(module_ids[:end])
+        groups.reverse()
+        cols.reverse()
+        ends.append(len(hops))
+        built.append(PipelineMapping._trusted(
+            pipelines[b], network, groups, [node_ids[c] for c in cols],
+            objective, algorithm, runtime_s,
+            objective is Objective.MIN_DELAY, extras[b]))
+    if hops:
+        linked = stage_view(view).hop_ok.take(hops)
+        if np.count_nonzero(linked) != len(hops):
+            bad = bisect.bisect_right(ends, int(np.argmin(linked)))
+            raise SpecificationError(
+                f"{built[bad].path} is not a walk in the network")
+    return built
 
 
 # --------------------------------------------------------------------------- #
@@ -205,6 +255,11 @@ class StagedView:
         ``(k, max(max_deg, 1))`` per-node slot sources and CSR edge indices
         for the warm engine, whose padding names the sentinel column ``k``
         and the sentinel edge ``2|E|`` instead.
+    hop_ok:
+        ``((k + 1) ** 2,)`` flattened ``(k + 1, k + 1)`` link table: ``True``
+        at ``u * (k + 1) + v`` for every directed edge.  Row and column
+        ``k`` are all ``False``, so a ``-1`` (no predecessor) on either end
+        of a hop lands there and fails the walk check of :func:`_assemble`.
     """
 
     k: int
@@ -222,6 +277,7 @@ class StagedView:
     row_base: np.ndarray
     slot_u: np.ndarray
     slot_edge: np.ndarray
+    hop_ok: np.ndarray
 
 
 _STAGED: Dict[int, StagedView] = {}
@@ -249,6 +305,8 @@ def _slot_layout(view: DenseNetworkView) -> Dict[str, object]:
     slot_to_edge = np.full(k * D, -1, dtype=np.intp)
     slot_to_edge[flat_slot] = np.arange(E2)
     padding = slot_to_edge < 0
+    hop_ok = np.zeros((k + 1) ** 2, dtype=bool)
+    hop_ok[view.edge_u * (k + 1) + view.edge_v] = True
     layout = {
         "k": k, "n_directed_edges": E2, "max_deg": max_deg,
         "rows": np.arange(k), "flat_slot": flat_slot,
@@ -256,6 +314,7 @@ def _slot_layout(view: DenseNetworkView) -> Dict[str, object]:
         "row_base": (np.arange(k) * max_deg).astype(np.intp),
         "slot_u": np.where(padding, k, slot_to_u).reshape(k, D),
         "slot_edge": np.where(padding, E2, slot_to_edge).reshape(k, D),
+        "hop_ok": hop_ok,
     }
     _LAYOUTS[key] = layout
     weakref.finalize(view.edge_u, _LAYOUTS.pop, key, None)
@@ -596,7 +655,8 @@ def _solve_batch(objective: Objective, pipelines: Sequence[Pipeline],
     A = len(alive)
     n_arr = np.array([pipelines[i].n_modules for i in alive])
     src = np.array([view.index_of[requests[i].source] for i in alive])
-    dst = np.array([view.index_of[requests[i].destination] for i in alive])
+    dst_cols = [view.index_of[requests[i].destination] for i in alive]
+    dst = np.array(dst_cols)
     workload, message = _stage_arrays(pipelines, alive, int(n_arr.max()))
     same = None
     if framerate:
@@ -609,31 +669,31 @@ def _solve_batch(objective: Objective, pipelines: Sequence[Pipeline],
             include_link_delay=include_link_delay)
     # Cells past an item's own length stay inf, so whole-row sums count
     # exactly the item's finite cells.
-    finite_cells = np.isfinite(values).sum(axis=(1, 2))
-
+    finite_cells = np.isfinite(values).sum(axis=(1, 2)).tolist()
+    best = values[np.arange(A), n_arr - 1, dst].tolist()
+    rows = []
+    for a, value in enumerate(best):
+        if math.isfinite(value):
+            rows.append(a)
+        else:
+            results[alive[a]] = _no_mapping_error(
+                "ELPC-tensor", objective, requests[alive[a]], int(n_arr[a]))
     per_item_runtime = (time.perf_counter() - start) / A
-    for a, i in enumerate(alive):
-        n = int(n_arr[a])
-        best = float(values[a, n - 1, dst[a]])
-        if not np.isfinite(best):
-            results[i] = _no_mapping_error("ELPC-tensor", objective,
-                                           requests[i], n)
-            continue
-        mapping = mapping_from_assignment(
-            pipelines[i], network, _backtrack(view, pred[a, :n], int(dst[a])),
-            objective=objective, algorithm="elpc-tensor",
-            runtime_s=per_item_runtime, allow_reuse=not framerate)
-        mapping.extras.update({
-            "dp_bottleneck_ms" if framerate else "dp_value_ms": best,
-            "dp_finite_cells": int(finite_cells[a]),
-            "include_link_delay": include_link_delay,
-            "tensor_batch": B,
-        })
+    value_key = "dp_bottleneck_ms" if framerate else "dp_value_ms"
+    mappings = _assemble(
+        view, network, objective, "elpc-tensor",
+        [pipelines[alive[a]] for a in rows], pred, rows,
+        [dst_cols[a] for a in rows],
+        [{value_key: best[a], "dp_finite_cells": finite_cells[a],
+          "include_link_delay": include_link_delay, "tensor_batch": B}
+         for a in rows], runtime_s=per_item_runtime)
+    for a, mapping in zip(rows, mappings):
         if keep_table:
+            n = int(n_arr[a])
             mapping.extras["dp_table"] = _as_dp_table(
                 view, values[a, :n], pred[a, :n],
                 None if same is None else same[a, :n])
-        results[i] = mapping
+        results[alive[a]] = mapping
     return results  # type: ignore[return-value]
 
 

@@ -33,6 +33,17 @@ full tensor stage sweep on the patched view (batched over the re-solved
 pipelines, without the feasibility validation) — correct, just not
 sub-linear.
 
+State is handed over per flush.  A flush keeps its tables once, stage-major,
+in a :class:`FlushTables`; each :class:`WarmState` it captures holds that
+handle and its column, and exposes ``values`` / ``pred`` / ``same`` as
+``(n, k)`` views into it.  The next warm flush orders its priors by source
+flush and copies each source in with one gather per table.  Mappings come
+out of :func:`repro.core.tensor._assemble`, shared with the cold tensor
+flushes: it backtracks every item, checks every hop of every path against
+the view's CSR edges in one array pass (raising ``SpecificationError`` on a
+non-walk), and only then builds the mappings without the per-mapping
+re-validation of the public constructor.
+
 Warm solves are tagged ``algorithm="elpc-warm"``; their mapped assignments,
 objective values and DP tables are bit-identical to ``elpc`` /
 ``elpc-tensor`` cold solves of the drifted network, which is what lets
@@ -54,8 +65,8 @@ from ..model.link import BITS_PER_BYTE
 from ..model.network import (DenseNetworkView, EndToEndRequest,
                              TransportNetwork, ViewDelta)
 from ..model.pipeline import Pipeline
-from .mapping import Objective, PipelineMapping, mapping_from_assignment
-from .tensor import (BatchEntry, StagedView, _as_dp_table, _backtrack,
+from .mapping import Objective, PipelineMapping
+from .tensor import (BatchEntry, StagedView, _as_dp_table, _assemble,
                      _batched_feasibility, _framerate_stages,
                      _min_delay_stages, _no_mapping_error, _stage_arrays,
                      stage_view)
@@ -63,14 +74,34 @@ from .tensor import (BatchEntry, StagedView, _as_dp_table, _backtrack,
 __all__ = ["WarmState", "elpc_min_delay_warm", "elpc_max_frame_rate_warm"]
 
 
+@dataclass(frozen=True)
+class FlushTables:
+    """The DP tables of one flush, shared by every state it captured.
+
+    Stage-major: ``values[j, a, v]`` is the flush's item ``a`` at module
+    stage ``j`` and node column ``v``.  The arrays may be wider than the
+    view's ``k`` columns (the warm engine keeps a sentinel column per item)
+    or transposed views of an item-major sweep; readers take
+    ``[:n, a, :k]``.  Cells past an item's own length are ``inf`` / ``-1`` /
+    ``False``.  ``same`` is ``None`` for the frame-rate DP.
+    """
+
+    values: np.ndarray
+    pred: np.ndarray
+    same: Optional[np.ndarray]
+
+
 @dataclass
 class WarmState:
     """Captured solve state a later warm re-solve can start from.
 
     Holds the dense view the DP tables were filled against (its ``epoch``
-    anchors :meth:`TransportNetwork.delta_since`), the filled tables, and the
-    finished mapping so an *unchanged* network costs nothing at all.  The
-    arrays are the solver's own working copies — treat them as frozen.
+    anchors :meth:`TransportNetwork.delta_since`), the finished mapping so
+    an *unchanged* network costs nothing at all, and a handle on the tables:
+    the :class:`FlushTables` of the flush that solved the item and the
+    item's ``column`` in them.  A later warm flush copies all the priors
+    that share a source flush in one gather per table.  The arrays are the
+    solver's own working copies — treat them as frozen.
     """
 
     objective: Objective
@@ -78,15 +109,35 @@ class WarmState:
     view: DenseNetworkView
     src: int
     dst: int
-    values: np.ndarray
-    pred: np.ndarray
-    same: Optional[np.ndarray]
     mapping: PipelineMapping = field(repr=False)
+    tables: FlushTables = field(repr=False)
+    column: int
 
     @property
     def epoch(self) -> int:
         """The view epoch the tables are valid for."""
         return self.view.epoch
+
+    def _table(self, table: np.ndarray) -> np.ndarray:
+        return table[:self.mapping.pipeline.n_modules, self.column,
+                     :self.view.n_nodes]
+
+    @property
+    def values(self) -> np.ndarray:
+        """``(n, k)`` view of the item's DP values."""
+        return self._table(self.tables.values)
+
+    @property
+    def pred(self) -> np.ndarray:
+        """``(n, k)`` view of the item's predecessor columns (-1: none)."""
+        return self._table(self.tables.pred)
+
+    @property
+    def same(self) -> Optional[np.ndarray]:
+        """``(n, k)`` same-node flags; ``None`` for the frame-rate DP."""
+        if self.tables.same is None:
+            return None
+        return self._table(self.tables.same)
 
 
 def _check_prior(prior: WarmState, objective: Objective,
@@ -116,7 +167,7 @@ def _static_rows(delta: ViewDelta, k: int) -> np.ndarray:
 def _warm_min_delay_stages(staged: StagedView, n_arr: np.ndarray,
                            workload: np.ndarray, message: np.ndarray,
                            priors: Sequence[WarmState], static: np.ndarray,
-                           *, include_link_delay: bool) -> tuple:
+                           *, include_link_delay: bool) -> FlushTables:
     """Refresh min-delay DP tables, recomputing only the cells edits reach.
 
     ``priors`` are the items' captured states and ``static`` their
@@ -124,8 +175,8 @@ def _warm_min_delay_stages(staged: StagedView, n_arr: np.ndarray,
     ``(item, column)`` cells and their padded in-edge slots and runs
     :func:`_min_delay_stages`' operations on them in the same order, so the
     refreshed tables are bit-identical to a cold sweep over the patched
-    view.  Returns fresh ``(values, pred, same)`` tables as
-    ``(A, n_max, k)`` views; the priors are left untouched.
+    view.  Returns the fresh stage-major tables, ``(n_max, A, k + 1)`` with
+    a sentinel column per item; the priors are left untouched.
     """
     A, k = len(priors), staged.k
     K = k + 1  # each item's k columns, then one sentinel cell
@@ -150,25 +201,34 @@ def _warm_min_delay_stages(staged: StagedView, n_arr: np.ndarray,
         return times
 
     # Stage-major copies of the prior tables: row j holds every item's
-    # stage-j cells side by side.  Only the sentinels and the rows past a
-    # short item's end need filling beyond the copies.
-    values = np.empty((n_max, A, K))
-    pred = np.empty((n_max, A, K), dtype=np.int64)
-    same = np.empty((n_max, A, K), dtype=bool)
-    for a, prior in enumerate(priors):
-        n = prior.values.shape[0]
-        values[:n, a, :k] = prior.values
-        pred[:n, a, :k] = prior.pred
-        same[:n, a, :k] = prior.same
-        values[n:, a] = np.inf
-        pred[n:, a] = -1
-        same[n:, a] = False
-    values[:, :, k] = np.inf
-    pred[:, :, k] = -1
-    same[:, :, k] = False
-    values = values.reshape(n_max, A * K)
-    pred = pred.reshape(n_max, A * K)
-    same = same.reshape(n_max, A * K)
+    # stage-j cells side by side, then its sentinel.  Each run of priors
+    # captured by one flush comes in with one gather per table (the caller
+    # orders the priors by source flush, so a flush is one run); rows past a
+    # source's end are padding, as are its own rows past each item's end.
+    tables = FlushTables(np.empty((n_max, A, K)),
+                         np.empty((n_max, A, K), dtype=np.int64),
+                         np.empty((n_max, A, K), dtype=bool))
+    sources = [prior.tables for prior in priors]
+    columns = [prior.column for prior in priors]
+    cuts = [0] + [a for a in range(1, A)
+                  if sources[a] is not sources[a - 1]] + [A]
+    for lo, hi in zip(cuts, cuts[1:]):
+        source = sources[lo]
+        rows = min(n_max, source.values.shape[0])
+        taken = np.array(columns[lo:hi])
+        for table, pad, copied in ((tables.values, np.inf, source.values),
+                                   (tables.pred, -1, source.pred),
+                                   (tables.same, False, source.same)):
+            width = min(K, copied.shape[2])
+            table[:rows, lo:hi, :width] = copied[:rows, :, :width].take(
+                taken, axis=1)
+            table[rows:, lo:hi] = pad
+    for table, pad in ((tables.values, np.inf), (tables.pred, -1),
+                       (tables.same, False)):
+        table[:, :, k] = pad
+    values = tables.values.reshape(n_max, A * K)
+    pred = tables.pred.reshape(n_max, A * K)
+    same = tables.same.reshape(n_max, A * K)
     edited = np.zeros((A, K), dtype=bool)
     edited[:, :k] = static
     edited = edited.ravel()
@@ -240,10 +300,7 @@ def _warm_min_delay_stages(staged: StagedView, n_arr: np.ndarray,
             pred[j, cells] = new_pred
             same[j, cells] = new_same
 
-    def by_item(table):
-        return table.reshape(n_max, A, K)[:, :, :k].transpose(1, 0, 2)
-
-    return by_item(values), by_item(pred), by_item(same)
+    return tables
 
 
 def _warm_many(objective: Objective, pipelines: Sequence[Pipeline],
@@ -268,7 +325,10 @@ def _warm_many(objective: Objective, pipelines: Sequence[Pipeline],
     out: List[Optional[Tuple[BatchEntry, Optional[WarmState]]]] = \
         [None] * len(pipelines)
     deltas: Dict[int, Optional[ViewDelta]] = {}
-    static_of: Dict[int, np.ndarray] = {}
+    # Edited-row masks, one per prior epoch: static_row_of[epoch] is the
+    # epoch's row in static_rows.
+    static_rows: List[np.ndarray] = []
+    static_row_of: Dict[int, int] = {}
     warm: List[int] = []
     refill: List[int] = []
     fresh: List[int] = []
@@ -288,13 +348,13 @@ def _warm_many(objective: Objective, pipelines: Sequence[Pipeline],
         delta = deltas[epoch]
         # The captured tables only transfer to the same problem: a usable
         # delta certifies the *view* lineage, the rest is checked
-        # explicitly.  An empty delta additionally requires the identical
-        # view object — a foreign prior at a coincidentally equal epoch must
-        # cold-solve.
+        # explicitly (the same pipeline also means the same table height).
+        # An empty delta additionally requires the identical view object —
+        # a foreign prior at a coincidentally equal epoch must cold-solve.
         if not (delta is not None
                 and view.index_of.get(request.source) == prior.src
                 and view.index_of.get(request.destination) == prior.dst
-                and prior.values.shape == (pipeline.n_modules, k)
+                and prior.view.n_nodes == k
                 and prior.mapping.pipeline == pipeline
                 and (not delta.is_empty or view is prior.view)):
             fresh.append(i)
@@ -304,8 +364,9 @@ def _warm_many(objective: Objective, pipelines: Sequence[Pipeline],
         elif framerate:
             refill.append(i)
         else:
-            if epoch not in static_of:
-                static_of[epoch] = _static_rows(delta, k)
+            if epoch not in static_row_of:
+                static_row_of[epoch] = len(static_rows)
+                static_rows.append(_static_rows(delta, k))
             warm.append(i)
 
     # Validation runs on cold fills only: scalar edits cannot change the
@@ -330,23 +391,31 @@ def _warm_many(objective: Objective, pipelines: Sequence[Pipeline],
         n_arr = np.array([pipelines[i].n_modules for i in swept])
         src = np.array([view.index_of[requests[i].source] for i in swept])
         workload, message = _stage_arrays(pipelines, swept, int(n_arr.max()))
+        same = None
         if framerate:
             dst = np.array([view.index_of[requests[i].destination]
                             for i in swept])
-            tables = _framerate_stages(staged, len(swept), n_arr, src, dst,
-                                       workload, message,
-                                       include_link_delay=include_link_delay)
-            tables = tables + (None,)
+            values, pred = _framerate_stages(
+                staged, len(swept), n_arr, src, dst, workload, message,
+                include_link_delay=include_link_delay)
         else:
-            tables = _min_delay_stages(staged, len(swept), n_arr, src,
-                                       workload, message,
-                                       include_link_delay=include_link_delay)
+            values, pred, same = _min_delay_stages(
+                staged, len(swept), n_arr, src, workload, message,
+                include_link_delay=include_link_delay)
+        # The sweeps are item-major; the handle is stage-major views.
         passes.append((swept, [False] * len(fresh) + [True] * len(refill),
-                       tables))
+                       FlushTables(values.transpose(1, 0, 2),
+                                   pred.transpose(1, 0, 2),
+                                   None if same is None
+                                   else same.transpose(1, 0, 2))))
     if warm:
+        # Priors of one source flush side by side: one gather per source.
+        warm.sort(key=lambda i: id(priors[i].tables))
         n_arr = np.array([pipelines[i].n_modules for i in warm])
         workload, message = _stage_arrays(pipelines, warm, int(n_arr.max()))
-        static = np.stack([static_of[priors[i].view.epoch] for i in warm])
+        # One mask per prior epoch, gathered per item in one indexing op.
+        static = np.array(static_rows)[
+            [static_row_of[priors[i].view.epoch] for i in warm]]
         tables = _warm_min_delay_stages(
             staged, n_arr, workload, message, [priors[i] for i in warm],
             static, include_link_delay=include_link_delay)
@@ -354,41 +423,42 @@ def _warm_many(objective: Objective, pipelines: Sequence[Pipeline],
 
     solved = sum(len(indices) for indices, *_ in passes)
     per_item_runtime = (time.perf_counter() - start) / max(solved, 1)
-    for indices, warm_flags, (values, pred, same) in passes:
-        # Cells past an item's own length stay inf, so whole-row sums count
-        # exactly the item's finite cells.
-        finite_cells = np.isfinite(values).sum(axis=(1, 2))
-        for a, i in enumerate(indices):
-            pipeline, request = pipelines[i], requests[i]
-            n = pipeline.n_modules
-            src = view.index_of[request.source]
-            dst = view.index_of[request.destination]
-            best = float(values[a, n - 1, dst])
-            if not math.isfinite(best):
-                out[i] = (_no_mapping_error("ELPC-warm", objective, request,
-                                            n), None)
-                continue
-            item_values = values[a, :n]
-            item_pred = pred[a, :n]
-            item_same = None if same is None else same[a, :n]
-            mapping = mapping_from_assignment(
-                pipeline, network, _backtrack(view, item_pred, dst),
-                objective=objective, algorithm="elpc-warm",
-                runtime_s=per_item_runtime, allow_reuse=not framerate)
-            mapping.extras.update({
-                "dp_bottleneck_ms" if framerate else "dp_value_ms": best,
-                "dp_finite_cells": int(finite_cells[a]),
-                "include_link_delay": include_link_delay,
-                "warm": warm_flags[a],
-                "view_epoch": view.epoch,
-            })
+    value_key = "dp_bottleneck_ms" if framerate else "dp_value_ms"
+    for indices, warm_flags, tables in passes:
+        # Cells past an item's own length (and sentinel cells) stay inf, so
+        # whole-column sums count exactly the item's finite cells.
+        finite_cells = np.isfinite(tables.values).sum(axis=(0, 2)).tolist()
+        dst = [view.index_of[requests[i].destination] for i in indices]
+        best = tables.values[
+            [pipelines[i].n_modules - 1 for i in indices],
+            np.arange(len(indices)), dst].tolist()
+        rows = []
+        for a, value in enumerate(best):
+            if math.isfinite(value):
+                rows.append(a)
+            else:
+                i = indices[a]
+                out[i] = (_no_mapping_error("ELPC-warm", objective,
+                                            requests[i],
+                                            pipelines[i].n_modules), None)
+        mappings = _assemble(
+            view, network, objective, "elpc-warm",
+            [pipelines[indices[a]] for a in rows],
+            tables.pred.transpose(1, 0, 2), rows, [dst[a] for a in rows],
+            [{value_key: best[a], "dp_finite_cells": finite_cells[a],
+              "include_link_delay": include_link_delay,
+              "warm": warm_flags[a], "view_epoch": view.epoch}
+             for a in rows], runtime_s=per_item_runtime)
+        for a, mapping in zip(rows, mappings):
+            i = indices[a]
+            state = WarmState(
+                objective=objective, include_link_delay=include_link_delay,
+                view=view, src=view.index_of[requests[i].source], dst=dst[a],
+                mapping=mapping, tables=tables, column=a)
             if keep_table:
                 mapping.extras["dp_table"] = _as_dp_table(
-                    view, item_values, item_pred, item_same)
-            out[i] = (mapping, WarmState(
-                objective=objective, include_link_delay=include_link_delay,
-                view=view, src=src, dst=dst, values=item_values,
-                pred=item_pred, same=item_same, mapping=mapping))
+                    view, state.values, state.pred, state.same)
+            out[i] = (mapping, state)
     return out  # type: ignore[return-value]
 
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..exceptions import SpecificationError
 from ..types import Grouping, ModuleId
 from .module import ComputingModule, sink_module, source_module
@@ -46,6 +48,9 @@ class Pipeline:
     modules: Tuple[ComputingModule, ...]
     name: Optional[str] = None
     metadata: Dict[str, Any] = field(default_factory=dict, compare=False)
+    #: Cache behind :meth:`stage_vectors`, filled on first use.
+    _stage_vectors: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mods = tuple(self.modules)
@@ -130,6 +135,24 @@ class Pipeline:
     def workloads(self) -> List[float]:
         """Per-module abstract operation counts, index-aligned with :attr:`modules`."""
         return [mod.workload for mod in self.modules]
+
+    def stage_vectors(self) -> np.ndarray:
+        """Read-only ``(2, n)`` array: per-module workload, then input bytes.
+
+        Row 0 holds :math:`c_j m_{j-1}` and row 1 :math:`m_{j-1}`, the two
+        per-stage operands of the tensor and warm DP sweeps.  Built on first
+        call and cached on the pipeline (which is immutable), so re-solving
+        the same pipeline does not walk its modules again.
+        """
+        vectors = self._stage_vectors
+        if vectors is None:
+            vectors = np.array(
+                [m.complexity * m.input_bytes for m in self.modules]
+                + [m.input_bytes for m in self.modules],
+                dtype=float).reshape(2, -1)
+            vectors.flags.writeable = False
+            object.__setattr__(self, "_stage_vectors", vectors)
+        return vectors
 
     # ------------------------------------------------------------------ #
     # Grouping machinery

@@ -10,7 +10,9 @@ Two invariants the incremental dense-view engine promises:
 * **Warm ≡ cold** — a warm-started ELPC re-solve on the edited network
   reproduces the cold solve's DP tables byte for byte and its mapping
   exactly, for both objectives, in agreement with both engines (scalar and
-  tensor) and with the tensor engine's one-pipeline (``A = 1``) tables.
+  tensor) and with the tensor engine's one-pipeline (``A = 1``) tables —
+  however the priors were handed over: shuffled, from several earlier
+  flushes, from cold fills and warm re-solves alike.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from repro.core.tensor import (
     stage_view,
 )
 from repro.exceptions import InfeasibleMappingError
-from repro.core.warm import elpc_max_frame_rate_warm, elpc_min_delay_warm
+from repro.core.warm import (_warm_many, elpc_max_frame_rate_warm,
+                             elpc_min_delay_warm)
 from repro.generators import random_network, random_pipeline, random_request
 from repro.model import ComputingNode, TransportNetwork
 from repro.model.link import CommunicationLink
@@ -264,3 +267,84 @@ class TestBatchedWarmEqualsCold:
                     states = (state.values, state.pred)
                 for table, warm_table in zip(tables, states):
                     assert table.tobytes() == warm_table.tobytes()
+
+
+@st.composite
+def handoff_scenarios(draw):
+    """Ragged items split across two earlier batches, and a shuffle."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    n_nodes = draw(st.integers(min_value=8, max_value=24))
+    n_links = draw(st.integers(min_value=int(1.5 * n_nodes),
+                               max_value=3 * n_nodes))
+    network = random_network(n_nodes, n_links, seed=seed)
+    sizes = draw(st.lists(st.integers(min_value=2, max_value=9),
+                          min_size=2, max_size=8))
+    instances = [(random_pipeline(n, seed=seed + 10 + b),
+                  random_request(network, seed=seed + 20 + b,
+                                 min_hop_distance=1))
+                 for b, n in enumerate(sizes)]
+    split = draw(st.integers(min_value=1, max_value=len(sizes) - 1))
+    order = draw(st.permutations(range(len(sizes))))
+    objective = draw(st.sampled_from(list(Objective)))
+    include_link_delay = draw(st.booleans())
+    return (network, instances, split, order, objective, include_link_delay,
+            seed)
+
+
+class TestWarmStateHandoff:
+    @PROFILE
+    @given(handoff_scenarios())
+    def test_handed_off_priors_match_cold(self, scenario):
+        """A flush whose priors come shuffled from two earlier batches — one
+        a cold ``warm_start`` fill, one a warm re-solve, captured at
+        different epochs and table heights — refreshes (min delay) or
+        refills (frame rate) every item bit-identically to a cold solve."""
+        (network, instances, split, order, objective, include_link_delay,
+         seed) = scenario
+        rng = np.random.default_rng(seed + 477)
+
+        def flush(items, priors):
+            return _warm_many(objective, [p for p, _r in items], network,
+                              [r for _p, r in items], priors,
+                              include_link_delay=include_link_delay)
+
+        first, second = instances[:split], instances[split:]
+        from_cold = flush(first, [None] * len(first))
+        _apply_random_edits(network, rng, int(rng.integers(1, 6)))
+        from_warm = flush(second, [None] * len(second))
+        _apply_random_edits(network, rng, int(rng.integers(1, 6)))
+        from_warm = flush(second, [state for _entry, state in from_warm])
+        _apply_random_edits(network, rng, int(rng.integers(1, 6)))
+        states = [state for _entry, state in from_cold + from_warm]
+        items = [instances[i] for i in order]
+        priors = [states[i] for i in order]
+        solved = flush(items, priors)
+
+        many = (elpc_min_delay_many if objective is Objective.MIN_DELAY
+                else elpc_max_frame_rate_many)
+        colds = many([p for p, _r in items], network, [r for _p, r in items],
+                     include_link_delay=include_link_delay)
+        view = network.dense_view()
+        for (pipeline, request), prior, (entry, state), cold in zip(
+                items, priors, solved, colds):
+            assert isinstance(entry, InfeasibleMappingError) == isinstance(
+                cold, InfeasibleMappingError)
+            if state is None:
+                continue
+            assert entry.to_dict() | {"algorithm": None, "runtime_s": None} \
+                == cold.to_dict() | {"algorithm": None, "runtime_s": None}
+            assert entry.groups == cold.groups
+            assert entry.extras["warm"] is (prior is not None)
+            src = view.index_of[request.source]
+            if objective is Objective.MIN_DELAY:
+                tables = _cold_tables(_min_delay_stages, pipeline, view, src,
+                                      include_link_delay=include_link_delay)
+                handed = (state.values, state.pred, state.same)
+            else:
+                tables = _cold_tables(
+                    _framerate_stages, pipeline, view, src,
+                    view.index_of[request.destination],
+                    include_link_delay=include_link_delay)
+                handed = (state.values, state.pred)
+            for table, warm_table in zip(tables, handed):
+                assert table.tobytes() == warm_table.tobytes()
