@@ -38,21 +38,15 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .analysis.comparison import check_solver_agreement
-from .analysis.experiments import (
-    reproduce_fig2,
-    tensor_batch_speedup,
-    vectorized_speedup,
-    write_all_outputs,
-)
 from .core.batch import SolveOptions, place_many, solve_many
 from .core.mapping import Objective
 from .core.registry import available_solvers, get_solver
 from .exceptions import ReproError, SpecificationError
-from .generators.cases import make_case, paper_case_suite, PAPER_CASE_SPECS
-from .generators.network_gen import random_network, random_request
-from .generators.workloads import named_workloads
 from .model.serialization import ProblemInstance, load_instance
+
+# ``repro.analysis`` and ``repro.generators`` (and through them
+# ``numpy.random``) are imported inside the subcommands that use them, so a
+# ``repro serve`` process never loads them.
 
 __all__ = ["main", "main_map", "main_bench", "main_bench_scaling",
            "main_bench_batch", "main_serve", "main_loadtest", "main_place",
@@ -65,6 +59,8 @@ BENCH_JSON_SCHEMA = "repro-bench/1"
 
 
 def _build_map_parser(prog: str = "repro-map") -> argparse.ArgumentParser:
+    from .generators.workloads import named_workloads
+
     parser = argparse.ArgumentParser(
         prog=prog,
         description="Map a computing pipeline onto a network (Wu et al., IPDPS 2008).")
@@ -95,6 +91,10 @@ def _build_map_parser(prog: str = "repro-map") -> argparse.ArgumentParser:
 
 
 def _resolve_instance(args: argparse.Namespace) -> ProblemInstance:
+    from .generators.cases import PAPER_CASE_SPECS, make_case
+    from .generators.network_gen import random_network, random_request
+    from .generators.workloads import named_workloads
+
     chosen = [x is not None for x in (args.instance, args.case, args.workload)]
     if sum(chosen) != 1:
         raise ReproError(
@@ -114,6 +114,9 @@ def _resolve_instance(args: argparse.Namespace) -> ProblemInstance:
 
 def _batch_instances(args: argparse.Namespace) -> List[ProblemInstance]:
     """Build the ``--batch-seeds`` instance sweep (workload on seeded networks)."""
+    from .generators.network_gen import random_network, random_request
+    from .generators.workloads import named_workloads
+
     if args.workload is None:
         raise ReproError("--batch-seeds needs --workload (a pipeline to sweep)")
     if args.batch_seeds < 1:
@@ -206,6 +209,10 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     disagreed on at least one suite case (the artifacts and the JSON summary
     are still written so the disagreement can be inspected).
     """
+    from .analysis.comparison import check_solver_agreement
+    from .analysis.experiments import reproduce_fig2, write_all_outputs
+    from .generators.cases import paper_case_suite
+
     parser = _build_bench_parser()
     args = parser.parse_args(argv)
     agreement = None
@@ -288,6 +295,8 @@ def _build_bench_scaling_parser(prog: str = "repro bench-scaling"
 def main_bench_scaling(argv: Optional[Sequence[str]] = None, *,
                        prog: str = "repro bench-scaling") -> int:
     """Entry point of ``repro bench-scaling``; returns a process exit code."""
+    from .analysis.experiments import vectorized_speedup
+
     parser = _build_bench_scaling_parser(prog)
     args = parser.parse_args(argv)
     try:
@@ -325,6 +334,8 @@ def _build_bench_batch_parser(prog: str = "repro bench-batch"
 def main_bench_batch(argv: Optional[Sequence[str]] = None, *,
                      prog: str = "repro bench-batch") -> int:
     """Entry point of ``repro bench-batch``; returns a process exit code."""
+    from .analysis.experiments import tensor_batch_speedup
+
     parser = _build_bench_batch_parser(prog)
     args = parser.parse_args(argv)
     try:

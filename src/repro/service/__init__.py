@@ -14,7 +14,7 @@ measures the whole stack under sustained concurrent load.
 
 Layers (see ``docs/ARCHITECTURE.md``, "Service layer"):
 
-* :mod:`repro.service.wire` — the ``repro-serve/1`` JSON schema (built on
+* :mod:`repro.service.wire` — the ``repro-serve/2`` JSON schema (built on
   :meth:`ProblemInstance.to_dict`) and the network interner that restores
   object-identity grouping across independent requests,
 * :mod:`repro.service.dispatcher` — :class:`ServiceConfig` +
@@ -32,58 +32,61 @@ Layers (see ``docs/ARCHITECTURE.md``, "Service layer"):
   concurrent clients, or open-loop arrival schedules — seeded Poisson
   (:func:`poisson_schedule`) or recorded timestamped traces
   (:func:`load_trace`) — over a bounded connection pool.
+
+The public names below resolve on first access (a module ``__getattr__``
+over :data:`_EXPORTS`), so importing one submodule — ``repro serve`` loads
+``server`` and ``wire`` — never loads the HTTP client, the load harness or
+the replica supervisor (and with them ``http.client`` and
+``multiprocessing``).  ``from repro.service import X`` works for every name
+in ``__all__``.
 """
 
-from .client import ServiceClient, ServiceUnavailableError
-from .dispatcher import ServiceConfig, SolveService
-from .loadtest import (
-    LoadtestResult,
-    generate_workload,
-    load_trace,
-    load_workload,
-    poisson_schedule,
-    run_loadtest,
-)
-from .replicas import (
-    FleetState,
-    ReplicaSupervisor,
-    bind_listeners,
-    run_replica,
-)
-from .server import BackgroundServer, SolveServer, serve
-from .wire import (
-    WIRE_SCHEMA,
-    NetworkInterner,
-    SolveRequest,
-    apply_network_edits,
-    error_response,
-    item_result_to_wire,
-    versioned_ref,
-)
+from __future__ import annotations
 
-__all__ = [
-    "WIRE_SCHEMA",
-    "SolveRequest",
-    "NetworkInterner",
-    "apply_network_edits",
-    "versioned_ref",
-    "item_result_to_wire",
-    "error_response",
-    "ServiceConfig",
-    "SolveService",
-    "SolveServer",
-    "BackgroundServer",
-    "serve",
-    "ServiceClient",
-    "ServiceUnavailableError",
-    "FleetState",
-    "ReplicaSupervisor",
-    "bind_listeners",
-    "run_replica",
-    "LoadtestResult",
-    "generate_workload",
-    "load_trace",
-    "load_workload",
-    "poisson_schedule",
-    "run_loadtest",
-]
+import importlib
+from typing import Any, List
+
+#: Public name -> submodule that defines it.
+_EXPORTS = {
+    "WIRE_SCHEMA": "wire",
+    "SolveRequest": "wire",
+    "NetworkInterner": "wire",
+    "apply_network_edits": "wire",
+    "versioned_ref": "wire",
+    "item_result_to_wire": "wire",
+    "error_response": "wire",
+    "ServiceConfig": "dispatcher",
+    "SolveService": "dispatcher",
+    "SolveServer": "server",
+    "BackgroundServer": "server",
+    "serve": "server",
+    "ServiceClient": "client",
+    "ServiceUnavailableError": "client",
+    "FleetState": "replicas",
+    "ReplicaSupervisor": "replicas",
+    "bind_listeners": "replicas",
+    "run_replica": "replicas",
+    "LoadtestResult": "loadtest",
+    "generate_workload": "loadtest",
+    "load_trace": "loadtest",
+    "load_workload": "loadtest",
+    "poisson_schedule": "loadtest",
+    "run_loadtest": "loadtest",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{submodule}", __name__), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

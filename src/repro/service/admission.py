@@ -88,8 +88,8 @@ class AdmissionBook:
                ) -> Tuple[bool, List[CapacityViolation]]:
         """Re-derive ``key``'s budgets from ``network`` after a delta.
 
-        The ledger follows ``network`` from now on and replays its
-        commitments onto the new capacities (:meth:`ClusterState.rebase`).
+        The ledger follows ``network`` from now on and moves each budget by
+        its capacity change (:meth:`ClusterState.rebase`).
         Returns ``(rebased, violations)``; ``(False, [])`` when the book
         has no ledger for ``key``.
         """

@@ -53,6 +53,9 @@ from .wire import SolveRequest, error_response
 
 __all__ = ["SolveServer", "BackgroundServer", "serve"]
 
+#: Bound of the parsed-request LRU and of the set of bodies seen once.
+PARSE_CACHE_SIZE = 512
+
 
 class SolveServer:
     """Bind the service to a host/port; owns the ``asyncio.start_server``.
@@ -92,14 +95,17 @@ class SolveServer:
         #: pure function of the body bytes (given the interner's contents),
         #: so a replayed byte-identical body — the steady state of a client
         #: re-posting the same reference-style instances — skips JSON decode
-        #: and instance reconstruction entirely.  Only successful parses are
-        #: cached (a failed one may succeed later, e.g. once its network ref
-        #: is posted).  A hit whose network is no longer the one interned
+        #: and instance reconstruction entirely.  A body is admitted on its
+        #: *second* sighting: ``_seen_once`` remembers the digests of bodies
+        #: posted once, so one-shot bodies never hold a parsed request and a
+        #: replayed body hits from its third post.  Only successful parses
+        #: are cached (a failed one may succeed later, e.g. once its network
+        #: ref is posted).  A hit whose network is no longer the one interned
         #: under its ref (evicted, maybe re-interned and patched since) is
         #: parsed again, so it never solves on a stale network.  Touched
         #: only from the event-loop thread.
         self._parsed_requests: "OrderedDict[bytes, SolveRequest]" = OrderedDict()
-        self._parsed_requests_max = 512
+        self._seen_once: "OrderedDict[bytes, None]" = OrderedDict()
         self.request_cache_hits = 0
 
     async def start(self) -> None:
@@ -263,10 +269,20 @@ class SolveServer:
                 return 400, error_response(str(exc))
             except ReproError as exc:  # pragma: no cover - defensive
                 return 400, error_response(str(exc))
-            self._parsed_requests[digest] = request
-            while len(self._parsed_requests) > self._parsed_requests_max:
-                self._parsed_requests.popitem(last=False)
+            self._admit(digest, request)
         return 200, await self.service.submit(request)
+
+    def _admit(self, digest: bytes, request: SolveRequest) -> None:
+        """Cache ``request`` if its body was seen before, else remember it."""
+        if digest in self._seen_once:
+            del self._seen_once[digest]
+            self._parsed_requests[digest] = request
+            if len(self._parsed_requests) > PARSE_CACHE_SIZE:
+                self._parsed_requests.popitem(last=False)
+        else:
+            self._seen_once[digest] = None
+            if len(self._seen_once) > PARSE_CACHE_SIZE:
+                self._seen_once.popitem(last=False)
 
     async def _write_json(self, writer: "asyncio.StreamWriter", status: int,
                           payload: Dict[str, Any], *,

@@ -35,6 +35,7 @@ from repro.service import (
     SolveService,
     WIRE_SCHEMA,
 )
+from repro.service.server import PARSE_CACHE_SIZE
 
 
 def _instances(count, *, network_seed=3, n_nodes=12, n_links=30, n_modules=6):
@@ -896,18 +897,36 @@ class TestContinuousBatching:
 class TestRequestParseCache:
     def test_replayed_identical_bodies_hit_the_parse_cache(self):
         """Byte-identical re-posts (the reference-path steady state) skip
-        JSON decode + instance reconstruction server-side."""
+        JSON decode + instance reconstruction server-side: the first repost
+        of a body is parsed and admitted to the cache, the next one hits."""
         instance = _instances(1)[0]
         with BackgroundServer(ServiceConfig(max_wait_ms=0.0)) as server:
             with server.client() as client:
                 first = client.solve(instance)    # full network post
-                second = client.solve(instance)   # ref path
-                third = client.solve(instance)    # ref path, identical bytes
+                second = client.solve(instance)   # ref path, seen once
+                third = client.solve(instance)    # identical bytes: admitted
+                assert client.healthz()["request_cache_hits"] == 0
+                fourth = client.solve(instance)   # identical bytes: hit
                 status = client.healthz()
-        assert first["ok"] and second["ok"] and third["ok"]
+        responses = [first, second, third, fourth]
+        assert all(response["ok"] for response in responses)
         assert status["request_cache_hits"] == 1
-        assert (first["mapping"]["delay_ms"] == second["mapping"]["delay_ms"]
-                == third["mapping"]["delay_ms"])
+        assert len({r["mapping"]["delay_ms"] for r in responses}) == 1
+
+    def test_one_shot_bodies_are_never_cached(self):
+        """Distinct bodies stay out of the parse cache; the set remembering
+        bodies seen once is bounded like the cache."""
+        instance = _instances(1)[0]
+        with BackgroundServer(ServiceConfig(max_wait_ms=0.0)) as server:
+            with server.client() as client:
+                responses = [client.solve(instance, priority=float(i))
+                             for i in range(600)]
+                status = client.healthz()
+            solve_server = server.server
+            assert not solve_server._parsed_requests
+            assert len(solve_server._seen_once) == PARSE_CACHE_SIZE
+        assert all(response["ok"] for response in responses)
+        assert status["request_cache_hits"] == 0
 
     def test_replay_after_eviction_reinterning_and_delta_is_not_stale(self):
         """A cached body whose network was evicted, re-interned as a new
@@ -931,6 +950,10 @@ class TestRequestParseCache:
             try:
                 first = post(conn, body_a)
                 ref_a = first["network_ref"]
+                # The repost is admitted to the parse cache, pinning the
+                # network object that is about to be evicted.
+                assert post(conn, body_a)["ok"]
+                assert len(server.server._parsed_requests) == 1
                 assert post(conn, json.dumps(SolveRequest(
                     instance=inst_b).to_wire()).encode())["ok"]  # evicts A
                 assert post(conn, json.dumps(SolveRequest(
